@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InfeasibleCouplingError, ValidationError
-from .objective import DualPoint, MomentSpec, _classify_one
+from .objective import REGION_NAMES, DualPoint, MassTable, MomentSpec, mass_table
 from .solver import BoundReport, bnt_max_bound, gamma2_bound, rho_bound
 
 __all__ = [
@@ -219,60 +219,28 @@ class JointDiscreteDistribution:
         return cls(support=tuple(tuple(v) for v in data["support"]), prob=tuple(data["prob"]))
 
 
+def _three_point_laws(table: MassTable) -> tuple[ThreePointDist, ...]:
+    points = table.points().T.tolist()
+    masses = table.p.T.tolist()
+    return tuple(
+        ThreePointDist(*x, *p, region=REGION_NAMES[k], c=table.c, lam=table.lam)
+        for x, p, k in zip(points, masses, table.region.tolist())
+    )
+
+
 def univariate_extremal(mu: float, sigma: float, c: float, lam: float) -> ThreePointDist:
     """The unique maximizer of E[|X - c - lambda| + |X - c + lambda|] given moments.
 
-    Selected by the same region conditions as the partition bookkeeping; its
-    objective value equals lambda * U((mu - c)/lambda, sigma/lambda).
+    One row of the mass table, so it is selected by the same region
+    conditions as the partition bookkeeping; its objective value equals
+    lambda * U((mu - c)/lambda, sigma/lambda).
     """
     mu, sigma, c, lam = float(mu), float(sigma), float(c), float(lam)
     if sigma <= 0.0:
         raise ValidationError("sigma must be positive")
     if lam <= 0.0:
         raise ValidationError("lambda must be positive")
-    region = _classify_one(mu, sigma, c, lam)
-    xi = mu - c
-    if region == "I1":
-        theta = math.hypot(xi, sigma)
-        p_plus = _clamp_probability(0.5 * (1.0 + xi / theta), "I1 marginal")
-        p_minus = _clamp_probability(0.5 * (1.0 - xi / theta), "I1 marginal")
-        return ThreePointDist(
-            x_minus=c - theta, x_zero=c, x_plus=c + theta,
-            p_minus=p_minus, p_zero=0.0, p_plus=p_plus,
-            region=region, c=c, lam=lam,
-        )
-    if region == "I2":
-        theta2 = xi * xi + sigma * sigma
-        denom = 8.0 * lam * lam
-        p_minus = _clamp_probability((theta2 - 2.0 * lam * xi) / denom, "I2 marginal")
-        p_plus = _clamp_probability((theta2 + 2.0 * lam * xi) / denom, "I2 marginal")
-        p_zero = _clamp_probability(1.0 - theta2 / (4.0 * lam * lam), "I2 marginal")
-        # Absorb float residue into the largest mass so the law sums to 1.
-        p_zero = 1.0 - p_minus - p_plus
-        return ThreePointDist(
-            x_minus=c - 2.0 * lam, x_zero=c, x_plus=c + 2.0 * lam,
-            p_minus=p_minus, p_zero=p_zero, p_plus=p_plus,
-            region=region, c=c, lam=lam,
-        )
-    if region == "I3":
-        shifted = xi - lam
-        theta = math.hypot(shifted, sigma)
-        p_plus = _clamp_probability(0.5 * (1.0 + shifted / theta), "I3 marginal")
-        p_zero = 1.0 - p_plus
-        return ThreePointDist(
-            x_minus=c - 2.0 * lam, x_zero=c + lam - theta, x_plus=c + lam + theta,
-            p_minus=0.0, p_zero=p_zero, p_plus=p_plus,
-            region=region, c=c, lam=lam,
-        )
-    shifted = -xi - lam
-    theta = math.hypot(shifted, sigma)
-    p_minus = _clamp_probability(0.5 * (1.0 + shifted / theta), "I4 marginal")
-    p_zero = 1.0 - p_minus
-    return ThreePointDist(
-        x_minus=c - lam - theta, x_zero=c - lam + theta, x_plus=c + 2.0 * lam,
-        p_minus=p_minus, p_zero=p_zero, p_plus=0.0,
-        region="I4", c=c, lam=lam,
-    )
+    return _three_point_laws(mass_table((mu,), (sigma,), c, lam))[0]
 
 
 def extremal_marginals(
@@ -283,11 +251,9 @@ def extremal_marginals(
     At the optimal point the masses satisfy sum p_i^+ = sum p_i^- = 1; a
     violation beyond 1e-6 means ``p`` is not the optimum and is rejected.
     """
-    dists = tuple(
-        univariate_extremal(m, s, p.c, p.lam) for m, s in zip(spec.mu, spec.sigma)
-    )
-    p_plus = tuple(d.p_plus for d in dists)
-    p_minus = tuple(d.p_minus for d in dists)
+    table = mass_table(spec.mu, spec.sigma, p.c, p.lam)
+    p_minus = tuple(table.p[0].tolist())
+    p_plus = tuple(table.p[2].tolist())
     err_plus = abs(math.fsum(p_plus) - 1.0)
     err_minus = abs(math.fsum(p_minus) - 1.0)
     if max(err_plus, err_minus) > 1e-6:
@@ -296,7 +262,7 @@ def extremal_marginals(
             f"(off by {err_plus:.3e} and {err_minus:.3e}); "
             f"(c={p.c!r}, lambda={p.lam!r}) does not minimize the objective"
         )
-    return dists, p_plus, p_minus
+    return _three_point_laws(table), p_plus, p_minus
 
 
 def _validate_marginal_vector(v: Sequence[float], name: str) -> list[float]:
@@ -354,6 +320,12 @@ def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
         out[row, col] += delta
         pt[row] -= delta
         qt[col] -= delta
+        # A cap an ulp short of an entry leaves float residue there, which
+        # the forced branch would otherwise turn into a cell of its own.
+        if pt[row] <= _MASS_EPS:
+            pt[row] = 0.0
+        if qt[col] <= _MASS_EPS:
+            qt[col] = 0.0
     return out
 
 
@@ -598,14 +570,11 @@ def ag_tightness(
     cond_ii = all(t2 <= 0.5 * s_total + slack for t2 in theta2)
     if not (cond_i and cond_ii):
         return False, None, None
-    p_plus = [
-        _clamp_probability((t2 + 0.5 * di * ag) / s_total, "tightness marginal")
-        for di, t2 in zip(d, theta2)
-    ]
-    p_minus = [
-        _clamp_probability((t2 - 0.5 * di * ag) / s_total, "tightness marginal")
-        for di, t2 in zip(d, theta2)
-    ]
+    # (mu_bar, AG/4) is then the dual optimum, with every coordinate in I2
+    # or on its boundary, and the table there gives the tail masses.
+    table = mass_table(mu, sigma, mb, 0.25 * ag)
+    p_plus = table.p[2].tolist()
+    p_minus = table.p[0].tolist()
     unique: bool | None = (
         True if max(pp + pm for pp, pm in zip(p_plus, p_minus)) >= 1.0 - 1e-12 else None
     )

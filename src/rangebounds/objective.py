@@ -15,17 +15,26 @@ differentiable, and piecewise closed-form with three branches; consequently
 phi_n is convex on the half-plane lambda > 0 and the infimum is attained at a
 unique point for n >= 3.
 
-This module houses the problem container (:class:`MomentSpec`), candidate
-optimization points (:class:`DualPoint`), the branch bookkeeping
-(:class:`RegionPartition`), and the scalar functions ``u_value``,
-``u_gradient``, ``phi``, ``phi_gradient``, ``classify_regions``.
+At any (c, lambda) the maximizing law of each coordinate sits on at most
+three points x^- < x^0 < x^+ with masses p^-, p^0, p^+, and
+grad phi_n = (sum p^- - sum p^+, sum p^0 - (n - 2)).  One numpy kernel,
+:func:`mass_table`, computes that table for every coordinate, with the
+region of each coordinate and the derivative columns d p^0/d lambda,
+d(p^- - p^+)/dc and d p^0/dc.  ``u_value``, ``u_gradient``, ``phi``,
+``phi_gradient`` and ``classify_regions`` are reads of it, as are the
+solver and the extremal constructions; ``u_value_array`` / ``phi_array``
+stay an independent formulation for cross-checks.
+
+This module also houses the problem container (:class:`MomentSpec`),
+candidate optimization points (:class:`DualPoint`) and the branch
+bookkeeping (:class:`RegionPartition`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +53,9 @@ __all__ = [
 
 #: Relative tolerance used to resolve ties on region boundaries.
 BOUNDARY_REL_TOL = 1e-12
+
+#: Region names in the order of the mass table's region codes 0..3.
+REGION_NAMES = ("I1", "I2", "I3", "I4")
 
 
 def _as_float_tuple(values: Iterable[float], name: str) -> tuple[float, ...]:
@@ -183,11 +195,135 @@ class RegionPartition:
         }
 
 
+class MassTable(NamedTuple):
+    """The extremal three-point law of every coordinate at one (c, lambda).
+
+    Arrays hold one entry per coordinate; ``z`` and ``p`` hold one row per
+    support slot, in the order minus, zero, plus.
+
+    * ``region``: 0..3 for I1..I4 (names in :data:`REGION_NAMES`);
+    * ``z``: support points in the scaled coordinate (x - c)/lambda, with
+      the fill points -2, 0, 2 in slots that carry no mass;
+    * ``p``: the masses p^-, p^0, p^+;
+    * ``margin``: relative distance to the nearest region boundary;
+    * ``dp0_dlam``, ``dgap_dc``, ``dp0_dc``: d p^0/d lambda,
+      d(p^- - p^+)/dc and d p^0/dc, whose sums are the second derivatives
+      phi_lambda,lambda, phi_cc and phi_c,lambda.
+    """
+
+    c: float
+    lam: float
+    region: np.ndarray
+    z: np.ndarray
+    p: np.ndarray
+    margin: np.ndarray
+    dp0_dlam: np.ndarray
+    dgap_dc: np.ndarray
+    dp0_dc: np.ndarray
+
+    def points(self) -> np.ndarray:
+        """Support points (x^-, x^0, x^+) in the units of the spec."""
+        return self.c + self.lam * self.z
+
+    def excess(self) -> np.ndarray:
+        """E[(|Z| - 1)^+] under each law, so that U = 2 + 2 * excess."""
+        return np.sum(self.p * np.maximum(np.abs(self.z) - 1.0, 0.0), axis=0)
+
+    def phi(self) -> float:
+        """phi = 2 lambda + lambda * sum_i excess_i, a sum of nonnegative terms."""
+        return self.lam * (2.0 + math.fsum(self.excess()))
+
+    def gradient(self) -> tuple[float, float]:
+        """(d phi/dc, d phi/d lambda) = (sum p^- - sum p^+, sum p^0 - (n - 2))."""
+        p_minus, p_zero, p_plus = self.p.sum(axis=1)
+        return float(p_minus - p_plus), float(p_zero - (self.region.size - 2))
+
+    def partition(self) -> RegionPartition:
+        return RegionPartition(
+            *(tuple(np.flatnonzero(self.region == k).tolist()) for k in range(4))
+        )
+
+
+def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
+    """Every coordinate's extremal three-point law at (c, lambda), in one pass.
+
+    Works in the scaled coordinates x = (mu - c)/lambda, y = sigma/lambda,
+    r = hypot(x, y), so nothing is squared in the units of the spec.  Per
+    region (with s = |x| - 1, t = hypot(s, y) in I3/I4):
+
+    * I1, r**2 >= 4:        z = -r, r with p^-/+ = (1 -/+ x/r)/2;
+    * I2, the middle band:  z = -2, 0, 2 with p^-/+ = (r**2 -/+ 2x)/8 and
+      p^0 = 1 - r**2/4;
+    * I3 (x > 0) / I4 (x < 0), r**2 <= 2|x|: z = +/-(1 - t) with
+      p^0 = (1 - s/t)/2 and the far tail z = +/-(1 + t) with the rest.
+
+    Boundary ties within ``BOUNDARY_REL_TOL`` go to I1 first, then to
+    I3/I4; the masses are continuous across every boundary, so a tie moves
+    only the bookkeeping.  Every branch is finite wherever sigma > 0, so
+    ``np.choose`` discards values without warnings.
+    """
+    x = (np.asarray(mu, dtype=float) - c) / lam
+    y = np.asarray(sigma, dtype=float) / lam
+    ax = np.abs(x)
+    r = np.hypot(x, y)
+    # Signed relative margins to the two-point (I1) boundary,
+    # (r**2 - 4)/max(r**2, 4), and to the one-sided (I3/I4) boundary,
+    # (r**2 - 2|x|)/max(r**2, 2|x|), written so that r is never squared.
+    m_two = (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
+    ratio = 2.0 * (ax / r) / r
+    m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
+    region = np.where(
+        m_two >= -BOUNDARY_REL_TOL,
+        0,
+        np.where(m_one <= BOUNDARY_REL_TOL, np.where(x > 0.0, 2, 3), 1),
+    )
+
+    g = x / r
+    k1 = (y / r) ** 2 / r
+    r2 = np.minimum(r, 2.0) ** 2  # r < 2 wherever the I2 entries are read
+    t = np.hypot(ax - 1.0, y)
+    h = (ax - 1.0) / t
+    far = 0.5 * (1.0 + h)
+    near = 0.5 * (1.0 - h)
+    k3 = 0.5 * (y / t) ** 2 / t
+
+    p = np.stack(
+        (
+            np.choose(region, (0.5 * (1.0 - g), 0.125 * (r2 - 2.0 * x), 0.0, far)),
+            np.choose(region, (0.0, 1.0 - 0.25 * r2, near, near)),
+            np.choose(region, (0.5 * (1.0 + g), 0.125 * (r2 + 2.0 * x), far, 0.0)),
+        )
+    )
+    z = np.stack(
+        (
+            np.choose(region, (-r, -2.0, -2.0, -1.0 - t)),
+            np.choose(region, (0.0, 0.0, 1.0 - t, t - 1.0)),
+            np.choose(region, (r, 2.0, 1.0 + t, 2.0)),
+        )
+    )
+    return MassTable(
+        c=float(c),
+        lam=float(lam),
+        region=region,
+        z=z,
+        p=p,
+        margin=np.minimum(np.abs(m_two), np.abs(m_one)),
+        dp0_dlam=np.choose(region, (0.0, 0.5 * r2, k3, k3)) / lam,
+        dgap_dc=np.choose(region, (k1, 0.5, k3, k3)) / lam,
+        dp0_dc=np.choose(region, (0.0, 0.5 * x, k3, -k3)) / lam,
+    )
+
+
 def _require_positive_y(y: float) -> float:
     y = float(y)
     if not math.isfinite(y) or y <= 0.0:
         raise ValidationError(f"y must be a positive real, got {y}")
     return y
+
+
+def _unit_table(x: float, y: float) -> MassTable:
+    """The table of one coordinate with mean |x| and deviation y at (0, 1)."""
+    return mass_table((abs(float(x)),), (y,), 0.0, 1.0)
 
 
 def u_value(x: float, y: float) -> float:
@@ -199,111 +335,52 @@ def u_value(x: float, y: float) -> float:
     * 2|x| < x**2 + y**2 < 4:  2 + (x**2 + y**2) / 2
     * x**2 + y**2 <= 2|x|:     |x| + 1 + sqrt((|x| - 1)**2 + y**2)
 
-    Always exceeds 2, and is at least 2 * max(|x|, 1).
+    Always exceeds 2, and is at least 2 * max(|x|, 1).  Read off the mass
+    table as the expectation under the maximizing law, using
+    |z - 1| + |z + 1| = 2 + 2 (|z| - 1)^+ (U is even in x).
     """
-    x = float(x)
-    y = _require_positive_y(y)
-    r2 = x * x + y * y
-    if r2 >= 4.0:
-        return 2.0 * math.sqrt(r2)
-    ax = abs(x)
-    if r2 <= 2.0 * ax:
-        return ax + 1.0 + math.hypot(ax - 1.0, y)
-    return 2.0 + 0.5 * r2
+    return 2.0 + 2.0 * float(_unit_table(x, _require_positive_y(y)).excess()[0])
 
 
 def u_gradient(x: float, y: float) -> tuple[float, float]:
     """Gradient (dU/dx, dU/dy) of :func:`u_value`, continuous on y > 0.
 
-    On the outer branch x**2 + y**2 >= 4 the gradient is
-    (2x, 2y) / sqrt(x**2 + y**2), which matches the middle branch's (x, y)
-    on the circle x**2 + y**2 = 4.  The inner branch splits by the sign
-    of x.
+    Read off the mass table at |x|: dU/dx = 2 (p^+ - p^-), odd in x, and
+    dU/dy = 2y / (z^+ - z^0), since the quadratic majorant of |z - 1| +
+    |z + 1| that touches the law's support points has curvature
+    1/(z^+ - z^0).  Branch by branch this is (2x, 2y)/r outside the circle
+    r = 2, (x, y) inside it, and (x -/+ 1)/t +/- 1, y/t in I3/I4.
     """
-    x = float(x)
     y = _require_positive_y(y)
-    r2 = x * x + y * y
-    if r2 >= 4.0:
-        s = math.sqrt(r2)
-        return 2.0 * x / s, 2.0 * y / s
-    if r2 <= 2.0 * x:
-        s = math.hypot(x - 1.0, y)
-        return (x - 1.0) / s + 1.0, y / s
-    if r2 <= -2.0 * x:
-        s = math.hypot(x + 1.0, y)
-        return (x + 1.0) / s - 1.0, y / s
-    return x, y
+    table = _unit_table(x, y)
+    p_minus, _, p_plus = table.p[:, 0].tolist()
+    _, z_zero, z_plus = table.z[:, 0].tolist()
+    return math.copysign(2.0 * (p_plus - p_minus), float(x)), 2.0 * y / (z_plus - z_zero)
 
 
 def phi(p: DualPoint, spec: MomentSpec) -> float:
     """The dual objective phi_n(c, lambda); every value upper-bounds E R_n."""
-    c, lam = p.c, p.lam
-    total = math.fsum(
-        u_value((m - c) / lam, s / lam) for m, s in zip(spec.mu, spec.sigma)
-    )
-    return -(spec.n - 2) * lam + 0.5 * lam * total
+    return mass_table(spec.mu, spec.sigma, p.c, p.lam).phi()
 
 
 def phi_gradient(p: DualPoint, spec: MomentSpec) -> tuple[float, float]:
-    """Gradient (d phi/dc, d phi/d lambda), assembled by the chain rule.
+    """Gradient (d phi/dc, d phi/d lambda) = (sum p^- - sum p^+, sum p^0 - (n - 2)).
 
-    With x_i = (mu_i - c)/lambda and y_i = sigma_i/lambda:
-
-        d phi/dc      = -(1/2) sum_i U_x(x_i, y_i)
-        d phi/dlambda = -(n - 2)
-                        + (1/2) sum_i [U - x_i U_x - y_i U_y](x_i, y_i)
-
-    Region-wise this reduces to sum of p_i^minus - p_i^plus and
-    -(n - 2) + sum of p_i^zero over the extremal marginal probabilities.
+    These sums over the extremal marginal probabilities equal the chain-rule
+    forms -(1/2) sum_i U_x and -(n - 2) + (1/2) sum_i [U - x U_x - y U_y]
+    at x_i = (mu_i - c)/lambda, y_i = sigma_i/lambda.
     """
-    c, lam = p.c, p.lam
-    dc_terms = []
-    dlam_terms = []
-    for m, s in zip(spec.mu, spec.sigma):
-        x = (m - c) / lam
-        y = s / lam
-        u = u_value(x, y)
-        ux, uy = u_gradient(x, y)
-        dc_terms.append(ux)
-        dlam_terms.append(u - x * ux - y * uy)
-    d_c = -0.5 * math.fsum(dc_terms)
-    d_lam = -(spec.n - 2) + 0.5 * math.fsum(dlam_terms)
-    return d_c, d_lam
+    return mass_table(spec.mu, spec.sigma, p.c, p.lam).gradient()
 
 
-def _classify_one(
-    mu: float, sigma: float, c: float, lam: float, rel_tol: float = BOUNDARY_REL_TOL
-) -> str:
-    """Region label for a single coordinate at (c, lambda).
+def classify_regions(p: DualPoint, spec: MomentSpec) -> RegionPartition:
+    """Assign every coordinate to exactly one of I1..I4 at the point ``p``.
 
     Boundary ties go to I1 first (where the two-point marginal applies), then
     to I3/I4 at their defining equalities; U and its gradient agree across the
     boundaries, so only the extremal-marginal bookkeeping is affected.
     """
-    xi = mu - c
-    theta2 = xi * xi + sigma * sigma
-    four_lam2 = 4.0 * lam * lam
-    if theta2 >= four_lam2 - rel_tol * max(theta2, four_lam2):
-        return "I1"
-    edge = 2.0 * lam * xi
-    if xi > 0.0 and theta2 <= edge + rel_tol * max(theta2, edge):
-        return "I3"
-    if xi < 0.0 and theta2 <= -edge + rel_tol * max(theta2, -edge):
-        return "I4"
-    return "I2"
-
-
-def classify_regions(p: DualPoint, spec: MomentSpec) -> RegionPartition:
-    """Assign every coordinate to exactly one of I1..I4 at the point ``p``."""
-    groups: dict[str, list[int]] = {"I1": [], "I2": [], "I3": [], "I4": []}
-    for i, (m, s) in enumerate(zip(spec.mu, spec.sigma)):
-        groups[_classify_one(m, s, p.c, p.lam)].append(i)
-    return RegionPartition(
-        i1=tuple(groups["I1"]),
-        i2=tuple(groups["I2"]),
-        i3=tuple(groups["I3"]),
-        i4=tuple(groups["I4"]),
-    )
+    return mass_table(spec.mu, spec.sigma, p.c, p.lam).partition()
 
 
 def u_value_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -327,12 +404,17 @@ def u_value_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def phi_array(
     spec: MomentSpec, c: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
-    """Vectorized phi over broadcastable arrays of c and lambda > 0."""
+    """Vectorized phi over broadcastable arrays of c and lambda > 0.
+
+    Accumulates U - 2 >= 0, as phi = lambda (2 + sum_i (U_i - 2)/2), which
+    avoids the cancellation between -(n - 2) lambda and the sum of U at
+    large n.
+    """
     c = np.asarray(c, dtype=float)
     lam = np.asarray(lam, dtype=float)
     mu, sigma = spec.arrays()
     cb, lb = np.broadcast_arrays(c, lam)
     total = np.zeros(cb.shape, dtype=float)
     for m, s in zip(mu, sigma):
-        total += u_value_array((m - cb) / lb, s / lb)
-    return -(spec.n - 2) * lb + 0.5 * lb * total
+        total += u_value_array((m - cb) / lb, s / lb) - 2.0
+    return lb * (2.0 + 0.5 * total)

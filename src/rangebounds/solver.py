@@ -1,19 +1,26 @@
 """Minimization of the dual objective and the closed-form comparison bounds.
 
 The tight bound rho_n is the infimum of phi_n over (c, lambda), lambda > 0.
-For n >= 3 the minimizer is unique and interior; the solver exploits the
-problem's structure instead of a generic optimizer:
+For n >= 3 the minimizer is unique and interior.  The solver reads
+everything it needs off the per-coordinate mass table
+(:func:`~rangebounds.objective.mass_table`): the gradient
+(sum p^- - sum p^+, sum p^0 - (n - 2)) and, from the table's derivative
+columns, the second derivatives in closed form.  Two nested roots are found
+by one safeguarded Newton iteration, ``_newton_bisect``, which takes the
+Newton step while it stays inside a certified bracket and bisects otherwise:
 
-* inner problem: for fixed c, the optimal lambda solves the monotone scalar
-  equation sum_i u_i'(lambda) = n - 2, bracketed between the second-largest
-  t_i and sum_i t_i, with t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2;
-* outer problem: g(c) = min over lambda of phi_n(c, lambda) is convex with
-  its minimum inside [min mu_i, max mu_i], so a derivative-sign bisection
-  on d phi/dc at the inner optimum converges to the unique c.
+* inner root: for fixed c, the lambda with sum_i p_i^0 = n - 2, bracketed
+  between the second-largest t_i and sum_i t_i, with
+  t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2, and warm-started from the
+  previous root;
+* outer root: g(c) = min over lambda of phi_n(c, lambda) is convex with its
+  minimum inside [min mu_i, max mu_i]; its slope is d phi/dc at the inner
+  root and its curvature phi_cc - phi_c,lambda**2 / phi_lambda,lambda, by
+  implicit differentiation.
 
-Both bisections run to floating-point resolution, well inside their
-iteration caps.  n = 2 is special (the minimizing set is a segment touching
-lambda = 0) and is served by a closed form.
+Both roots stop at relative float resolution.  n = 2 is special (the
+minimizing set is a segment touching lambda = 0) and is served by a closed
+form.
 
 The module also provides every comparison bound: the mean-spread-plus-
 variance bound ``ag_bound`` and its weighted-sum generalization, the i.i.d.
@@ -29,15 +36,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ConvergenceError, ValidationError
-from .objective import (
-    DualPoint,
-    MomentSpec,
-    RegionPartition,
-    classify_regions,
-    phi,
-    phi_gradient,
-)
+from .objective import DualPoint, MassTable, MomentSpec, RegionPartition, mass_table
 
 __all__ = [
     "BoundReport",
@@ -56,9 +58,8 @@ __all__ = [
 #: Default gradient-norm tolerance at the reported optimum.
 DEFAULT_TOL = 1e-10
 
-#: Iteration caps for the scalar bisections.
-INNER_CAP = 200
-OUTER_CAP = 500
+#: Relative float resolution at which the scalar roots stop.
+_EPS = 2.0**-52
 
 #: Relative margin below which a coordinate at the optimum is considered to
 #: sit on a region boundary, degenerating the partition bookkeeping.
@@ -138,66 +139,76 @@ def plackett_iid_bound(n: int, sigma: float) -> float:
     return n * sigma * math.sqrt((2.0 / (2.0 * n - 1.0)) * (1.0 - 1.0 / comb))
 
 
-def _bisect_increasing(
-    f: Callable[[float], float],
+def _newton_bisect(
+    fdf: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
-    cap: int,
+    x0: float | None = None,
 ) -> tuple[float, int]:
-    """Root of a nondecreasing f with f(lo) <= 0 <= f(hi), to float resolution.
+    """Root of a nondecreasing f known to lie in [lo, hi], to float resolution.
 
-    Returns the midpoint of the final bracket and the iteration count.  The
-    loop stops once the midpoint stops making progress, the bracket shrinks
-    below 2**-60 of its initial width (a root at exactly 0 would otherwise
-    keep halving through subnormals), or the cap is hit.
+    ``fdf(x)`` returns (f(x), f'(x)).  Every evaluation moves one end of the
+    bracket to x by the sign of f.  The next point is the Newton step when
+    it lands strictly inside the bracket and is at most half the step before
+    last, and the bracket's midpoint otherwise (rtsafe, Press et al.,
+    Numerical Recipes).  The search starts at ``x0`` when it lies inside
+    the bracket, and stops once a step, Newton or bisection, is below
+    relative float resolution (or 2**-60 of the initial width, for a root
+    at 0) or no longer moves the point.  Returns the last evaluated point, so that a caller's record of
+    its final evaluation belongs to the root, and the number of evaluations.
     """
-    width_floor = (hi - lo) * 2.0**-60
-    iters = 0
-    while iters < cap:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi or hi - lo <= width_floor:
+    floor = (hi - lo) * 2.0**-60
+
+    def resolution(x: float) -> float:
+        return max(_EPS * abs(x), floor)
+
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    step = before = hi - lo
+    evaluations = 0
+    while True:
+        f, df = fdf(x)
+        evaluations += 1
+        if f == 0.0:
             break
-        if f(mid) <= 0.0:
-            lo = mid
+        if f < 0.0:
+            lo = x
         else:
-            hi = mid
-        iters += 1
-    return 0.5 * (lo + hi), iters
+            hi = x
+        newton = df > 0.0 and (
+            abs(f) <= resolution(x) * df
+            or (lo < x - f / df < hi and abs(f) <= 0.5 * abs(before) * df)
+        )
+        before, step = step, (f / df if newton else 0.5 * (hi - lo))
+        nxt = x - step if newton else lo + step
+        if abs(step) <= resolution(x) or nxt == x:
+            break
+        x = nxt
+    return x, evaluations
 
 
 def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
     """Tight bound on E max_i X_i, returned together with its defining root.
 
     y0 is the unique solution of sum_i (y0 - mu_i)/alpha_i(y0) = n - 2 with
-    alpha_i = sqrt((mu_i - y0)**2 + sigma_i**2); the left side increases
-    strictly from -n to n, so the root is found by bracketed bisection.  The
-    bound is -(n-2)/2 * y0 + (1/2) sum mu_i + (1/2) sum alpha_i.
+    alpha_i = sqrt((mu_i - y0)**2 + sigma_i**2).  The left side increases
+    strictly, with slope sum_i sigma_i**2/alpha_i**3, from -n to n; it is
+    below n - 2 at min mu - n max sigma and above it at max mu + n max sigma,
+    which brackets the root.  The bound is -(n-2)/2 * y0 + (1/2) sum mu_i +
+    (1/2) sum alpha_i.
     """
-    mu, sigma = spec.mu, spec.sigma
+    mu, sigma = spec.arrays()
     n = spec.n
 
-    def lhs(y: float) -> float:
-        return math.fsum(
-            (y - m) / math.hypot(m - y, s) for m, s in zip(mu, sigma)
-        ) - (n - 2)
+    def fdf(y: float) -> tuple[float, float]:
+        d = y - mu
+        alpha = np.hypot(d, sigma)
+        slope = np.sum((sigma / alpha) ** 2 / alpha)
+        return float(np.sum(d / alpha)) - (n - 2), float(slope)
 
-    span = n * max(sigma)
-    lo = min(mu) - span
-    hi = max(mu) + span
-    width = hi - lo
-    for _ in range(200):
-        if lhs(lo) <= 0.0:
-            break
-        lo -= width
-        width *= 2.0
-    for _ in range(200):
-        if lhs(hi) >= 0.0:
-            break
-        hi += width
-        width *= 2.0
-    y0, _ = _bisect_increasing(lhs, lo, hi, cap=INNER_CAP)
-    alpha = [math.hypot(m - y0, s) for m, s in zip(mu, sigma)]
-    bnt = -0.5 * (n - 2) * y0 + 0.5 * math.fsum(mu) + 0.5 * math.fsum(alpha)
+    span = n * float(sigma.max())
+    y0, _ = _newton_bisect(fdf, float(mu.min()) - span, float(mu.max()) + span)
+    alpha = np.hypot(mu - y0, sigma)
+    bnt = -0.5 * (n - 2) * y0 + 0.5 * math.fsum(spec.mu) + 0.5 * math.fsum(alpha)
     return bnt, y0
 
 
@@ -245,6 +256,22 @@ def _infimum(spec: MomentSpec) -> float:
     return max(spec.mu) - min(spec.mu)
 
 
+def _report(
+    spec: MomentSpec, table: MassTable, rho: float, method: str, iterations: int
+) -> BoundReport:
+    """The report at the table's point."""
+    return BoundReport(
+        rho=rho,
+        optimum=DualPoint(c=table.c, lam=table.lam),
+        regions=table.partition(),
+        ag=ag_bound(spec),
+        infimum=_infimum(spec),
+        method=method,
+        iterations=iterations,
+        residual=math.hypot(*table.gradient()),
+    )
+
+
 def rho2_closed(spec: MomentSpec) -> BoundReport:
     """Closed-form tight bound for a pair: sqrt((mu1-mu2)**2 + (sigma1+sigma2)**2).
 
@@ -258,24 +285,18 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
     rho = math.hypot(m1 - m2, s1 + s2)
     c0 = (s1 * m2 + s2 * m1) / (s1 + s2)
     lam0 = rho * min(s1, s2) / (2.0 * (s1 + s2))
-    point = DualPoint(c=c0, lam=lam0)
-    grad = phi_gradient(point, spec)
-    return BoundReport(
-        rho=rho,
-        optimum=point,
-        regions=classify_regions(point, spec),
-        ag=ag_bound(spec),
-        infimum=_infimum(spec),
-        method="n2-closed-form",
-        iterations=0,
-        residual=math.hypot(*grad),
-    )
+    table = mass_table(spec.mu, spec.sigma, c0, lam0)
+    return _report(spec, table, rho, "n2-closed-form", 0)
 
 
 def _means_equal(spec: MomentSpec) -> bool:
-    mb = spec.mu_bar
-    scale = 1.0 + max(abs(m) for m in spec.mu)
-    return max(abs(m - mb) for m in spec.mu) <= 1e-12 * scale
+    """True when the means agree to 1e-12 of the largest sigma.
+
+    Moving the means by at most their spread moves rho by at most that
+    spread, and rho >= max sigma_i, so the equal-means closed form is then
+    exact to 1e-12 relative, at every scale of the spec.
+    """
+    return max(spec.mu) - min(spec.mu) <= 1e-12 * max(spec.sigma)
 
 
 def equal_means_bound(spec: MomentSpec) -> float:
@@ -286,141 +307,38 @@ def equal_means_bound(spec: MomentSpec) -> float:
     """
     if not _means_equal(spec):
         raise ValidationError("closed form requires all means equal")
-    s2 = [s * s for s in spec.sigma]
+    scale = max(spec.sigma)
+    s2 = [(s / scale) ** 2 for s in spec.sigma]
     total = math.fsum(s2)
-    top = max(s2)
-    if 2.0 * top <= total:
-        return math.sqrt(2.0 * total)
-    return math.sqrt(top) + math.sqrt(total - top)
+    if 2.0 <= total:
+        return scale * math.sqrt(2.0 * total)
+    return scale * (1.0 + math.sqrt(total - 1.0))
 
 
-def _equal_means_optimum(spec: MomentSpec) -> DualPoint:
-    """Known minimizer in the equal-means case, used for cross-checks."""
-    s2 = [s * s for s in spec.sigma]
-    total = math.fsum(s2)
-    top = max(s2)
-    if 2.0 * top <= total:
-        lam = math.sqrt(2.0 * total) / 4.0
-    else:
-        lam = 0.5 * math.sqrt(total - top)
-    return DualPoint(c=spec.mu_bar, lam=lam)
+def _inner_table(
+    mu: np.ndarray, sigma: np.ndarray, c: float, lam0: float | None
+) -> MassTable:
+    """The mass table at (c, lambda*(c)), lambda* the minimizer of phi(c, .).
 
-
-def _t_values(mu: Sequence[float], sigma: Sequence[float], c: float) -> list[float]:
-    return [0.5 * math.hypot(m - c, s) for m, s in zip(mu, sigma)]
-
-
-def _sum_uprime(
-    mu: Sequence[float], sigma: Sequence[float], c: float, lam: float
-) -> float:
-    """sum_i u_i'(lambda): each term is the middle-mass probability p_i^zero.
-
-    Per coordinate (a = |mu_i - c|, theta**2 = a**2 + sigma**2):
-
-    * lambda <= theta/2:              0
-    * theta/2 < lambda < theta**2/2a: 1 - theta**2 / (4 lambda**2)
-    * lambda >= theta**2/2a:          (1 + (lambda-a)/sqrt((lambda-a)**2+sigma**2))/2
-
-    continuous and nondecreasing in lambda, increasing from 0 toward n.
+    lambda* solves sum_i p_i^0 = n - 2, a nondecreasing function of lambda
+    with derivative sum_i d p_i^0/d lambda.  The root lies between the
+    second-largest t_i and sum_i t_i: at the left end the two largest-t
+    coordinates are in I1 (no middle mass) and every other term is at most
+    1, while at the right end Markov's inequality, P(|X_i - c| >= lambda)
+    <= E|X_i - c| / lambda <= 2 t_i / lambda, leaves at most 2 of the n
+    units of mass outside the middle.
     """
-    total = 0.0
-    for m, s in zip(mu, sigma):
-        a = abs(m - c)
-        theta2 = a * a + s * s
-        if 4.0 * lam * lam <= theta2:
-            continue
-        if a > 0.0 and 2.0 * a * lam >= theta2:
-            w = lam - a
-            total += 0.5 * (1.0 + w / math.hypot(w, s))
-        else:
-            total += 1.0 - theta2 / (4.0 * lam * lam)
-    return total
+    n = mu.size
+    t = 0.5 * np.hypot(mu - c, sigma)
+    table = None
 
+    def fdf(lam: float) -> tuple[float, float]:
+        nonlocal table
+        table = mass_table(mu, sigma, c, lam)
+        return float(table.p[1].sum()) - (n - 2), float(table.dp0_dlam.sum())
 
-def _inner_lambda(
-    mu: Sequence[float], sigma: Sequence[float], c: float, n: int
-) -> float:
-    """The unique lambda minimizing phi(c, .), by bracketed bisection.
-
-    The optimality condition sum_i u_i'(lambda) = n - 2 has its root strictly
-    between the second-largest t_i and sum_i t_i: at the left end the two
-    largest-t coordinates contribute nothing and every other term is below 1,
-    while the sum tends to n > n - 2 as lambda grows.
-    """
-    ts = sorted(_t_values(mu, sigma, c), reverse=True)
-    lo = ts[1]
-    hi = math.fsum(ts)
-    target = float(n - 2)
-
-    def h(lam: float) -> float:
-        return _sum_uprime(mu, sigma, c, lam) - target
-
-    for _ in range(200):
-        if h(hi) >= 0.0:
-            break
-        hi *= 2.0
-    root, _ = _bisect_increasing(h, lo, hi, cap=INNER_CAP)
-    return root
-
-
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, iters: int = 200
-) -> float:
-    """Minimizer of a unimodal f on [lo, hi] to floating-point resolution."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if x2 - x1 <= 0.0:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-def _boundary_degenerate(spec: MomentSpec, point: DualPoint) -> bool:
-    """True when some coordinate sits on a region boundary at ``point``."""
-    c, lam = point.c, point.lam
-    four_lam2 = 4.0 * lam * lam
-    for m, s in zip(spec.mu, spec.sigma):
-        xi = m - c
-        theta2 = xi * xi + s * s
-        if abs(theta2 - four_lam2) <= BOUNDARY_FLAG_REL * max(theta2, four_lam2):
-            return True
-        edge = 2.0 * lam * abs(xi)
-        if edge > 0.0 and abs(theta2 - edge) <= BOUNDARY_FLAG_REL * max(theta2, edge):
-            return True
-    return False
-
-
-def _report_at(
-    spec: MomentSpec,
-    point: DualPoint,
-    method: str,
-    iterations: int,
-    rho: float | None = None,
-) -> BoundReport:
-    grad = phi_gradient(point, spec)
-    if _boundary_degenerate(spec, point) and method != "n2-closed-form":
-        method = method + "+boundary-degenerate"
-    return BoundReport(
-        rho=phi(point, spec) if rho is None else rho,
-        optimum=point,
-        regions=classify_regions(point, spec),
-        ag=ag_bound(spec),
-        infimum=_infimum(spec),
-        method=method,
-        iterations=iterations,
-        residual=math.hypot(*grad),
-    )
+    _newton_bisect(fdf, float(np.partition(t, n - 2)[n - 2]), float(t.sum()), lam0)
+    return table
 
 
 def minimize_phi(
@@ -431,9 +349,10 @@ def minimize_phi(
 ) -> BoundReport:
     """Unique minimizer of phi_n for n >= 3, with gradient norm <= tol.
 
-    ``c_start``, when given, seeds the outer bracket with one extra sign
-    probe; any start converges to the same optimum, which is how the
-    restart-agreement checks exercise uniqueness.
+    The outer root starts at ``c_start`` when it lies strictly between the
+    smallest and largest mean, and at the midpoint otherwise; any start
+    converges to the same optimum, which is how the restart-agreement checks
+    exercise uniqueness.  ``iterations`` counts the outer steps.
     """
     if float(tol) <= 0.0:
         raise ValidationError("tol must be positive")
@@ -441,58 +360,36 @@ def minimize_phi(
         raise ValidationError(
             "n = 2 has a segment of minimizers; use rho2_closed instead"
         )
-    mu, sigma = spec.mu, spec.sigma
-    n = spec.n
+    mu, sigma = spec.arrays()
+    lo, hi = float(mu.min()), float(mu.max())
+    table = None
 
-    def slope(c: float) -> float:
-        lam = _inner_lambda(mu, sigma, c, n)
-        point = DualPoint(c=c, lam=lam)
-        return phi_gradient(point, spec)[0]
+    def slope(c: float) -> tuple[float, float]:
+        """g'(c) = d phi/dc at the inner root, and g''(c) by implicit differentiation."""
+        nonlocal table
+        table = _inner_table(mu, sigma, c, table.lam if table is not None else None)
+        phi_cc = float(table.dgap_dc.sum())
+        phi_cl = float(table.dp0_dc.sum())
+        phi_ll = float(table.dp0_dlam.sum())
+        curvature = phi_cc - phi_cl * phi_cl / phi_ll if phi_ll > 0.0 else 0.0
+        return table.gradient()[0], curvature
 
-    lo, hi = min(mu), max(mu)
-    iterations = 0
-    if hi - lo <= 1e-12 * (1.0 + max(abs(lo), abs(hi))):
-        c0 = spec.mu_bar
+    # The slope is negative at min mu and positive at max mu unless all
+    # means are equal, when the bracket is a single point.
+    if lo == hi:
+        table, iterations = _inner_table(mu, sigma, lo, None), 0
     else:
-        if c_start is not None and lo < c_start < hi:
-            if slope(c_start) <= 0.0:
-                lo = c_start
-            else:
-                hi = c_start
-            iterations += 1
-        # The outer derivative is nonpositive at min mu and nonnegative at
-        # max mu, so the sign change sits inside the bracket.
-        if slope(lo) >= 0.0:
-            c0 = lo
-        elif slope(hi) <= 0.0:
-            c0 = hi
-        else:
-            c0, extra = _bisect_increasing(slope, lo, hi, cap=OUTER_CAP)
-            iterations += extra
-
-    lam0 = _inner_lambda(mu, sigma, c0, n)
-    report = _report_at(spec, DualPoint(c=c0, lam=lam0), "general-solver", iterations)
+        _, iterations = _newton_bisect(slope, lo, hi, c_start)
+    method = "general-solver"
+    if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
+        method += "+boundary-degenerate"
+    report = _report(spec, table, table.phi(), method, iterations)
     if report.residual <= tol:
         return report
-
-    # Fallback for the (unobserved in practice) case where the derivative
-    # search lands short: value-based golden-section on g(c) = min_lam phi.
-    def g(c: float) -> float:
-        lam = _inner_lambda(mu, sigma, c, n)
-        return phi(DualPoint(c=c, lam=lam), spec)
-
-    c1 = _golden_section(g, min(mu), max(mu))
-    lam1 = _inner_lambda(mu, sigma, c1, n)
-    fallback = _report_at(
-        spec, DualPoint(c=c1, lam=lam1), "general-solver", iterations + OUTER_CAP
-    )
-    best = fallback if fallback.residual < report.residual else report
-    if best.residual <= tol:
-        return best
     raise ConvergenceError(
-        f"gradient norm {best.residual:.3e} above tolerance {tol:.3e} "
-        f"at c={best.optimum.c!r}, lambda={best.optimum.lam!r}",
-        best=best,
+        f"gradient norm {report.residual:.3e} above tolerance {tol:.3e} "
+        f"at c={report.optimum.c!r}, lambda={report.optimum.lam!r}",
+        best=report,
     )
 
 
@@ -508,7 +405,7 @@ def rho_bound(spec: MomentSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     if _means_equal(spec):
         closed = equal_means_bound(spec)
         solved = minimize_phi(spec, tol)
-        if abs(solved.rho - closed) > 1e-8 * (1.0 + abs(closed)):
+        if abs(solved.rho - closed) > 1e-8 * closed:
             raise ConvergenceError(
                 f"solver value {solved.rho!r} disagrees with the equal-means "
                 f"closed form {closed!r}",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rangebounds import (
     u_value,
     u_value_array,
 )
+from rangebounds.objective import mass_table
 
 xs = st.floats(-6.0, 6.0)
 ys = st.floats(0.05, 5.0)
@@ -236,3 +238,110 @@ class TestRegionClassification:
         spec = MomentSpec(mu=(0.0, 10.0), sigma=(1.0, 1.0))
         regions = classify_regions(DualPoint(c=0.0, lam=1.0), spec)
         assert regions.region_of(1) == "I1"
+
+
+def _scaled_draw(rng, region):
+    """One (x, y) strictly inside ``region`` of the scaled plane."""
+    if region == "I1":
+        r = rng.uniform(2.1, 6.0)
+        angle = rng.uniform(0.05, math.pi - 0.05)
+        return r * math.cos(angle), r * math.sin(angle)
+    if region == "I2":
+        x = rng.uniform(-1.8, 1.8)
+        low, high = 2.0 * abs(x) - x * x, 4.0 - x * x
+        pad = 0.05 * (high - low)
+        return x, math.sqrt(rng.uniform(low + pad, high - pad))
+    x = rng.uniform(0.1, 1.9)
+    y = math.sqrt((2.0 * x - x * x) * rng.uniform(0.05, 0.95))
+    return (x, y) if region == "I3" else (-x, y)
+
+
+class TestMassTable:
+    """The kernel against the separate ``phi_array`` path and its own sums."""
+
+    REGIONS = ("I1", "I2", "I3", "I4")
+    # (x, y) exactly on a boundary at c = 0, lambda = 1, with the region the
+    # tie resolves to: I1 first, then I3/I4.
+    TIES = [
+        ((0.0, 2.0), "I1"),
+        ((1.2, 1.6), "I1"),
+        ((-2.0, 1e-9), "I1"),
+        ((2.0, 1e-9), "I1"),
+        ((1.0, 1.0), "I3"),
+        ((0.5, math.sqrt(0.75)), "I3"),
+        ((-1.0, 1.0), "I4"),
+        ((-1.5, math.sqrt(0.75)), "I4"),
+    ]
+
+    def points(self):
+        """Specs mixing all four regions at random (c, lambda), plus the ties."""
+        rng = np.random.default_rng(40)
+        out = []
+        for _ in range(60):
+            c = float(rng.uniform(-3.0, 3.0))
+            lam = float(rng.uniform(0.2, 3.0))
+            regions = [self.REGIONS[k % 4] for k in range(int(rng.integers(4, 9)))]
+            xy = [_scaled_draw(rng, region) for region in regions]
+            spec = MomentSpec(
+                mu=tuple(c + lam * x for x, _ in xy), sigma=tuple(lam * y for _, y in xy)
+            )
+            out.append((spec, c, lam))
+        for c, lam in ((0.0, 1.0), (0.5, 2.0)):
+            spec = MomentSpec(
+                mu=tuple(c + lam * x for (x, _), _ in self.TIES),
+                sigma=tuple(lam * y for (_, y), _ in self.TIES),
+            )
+            out.append((spec, c, lam))
+        return out
+
+    def test_masses_are_a_probability_law_and_ties_resolve_in_order(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, c, lam in self.points():
+                table = mass_table(spec.mu, spec.sigma, c, lam)
+                assert np.all(table.p >= 0.0)
+                np.testing.assert_allclose(table.p.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+            ties = self.points()[-2:]
+            for spec, c, lam in ties:
+                table = mass_table(spec.mu, spec.sigma, c, lam)
+                assert [self.REGIONS[k] for k in table.region] == [r for _, r in self.TIES]
+                assert np.all(table.margin <= 1e-12)
+
+    def test_random_points_cover_every_region(self):
+        seen = set()
+        for spec, c, lam in self.points()[:-2]:
+            seen.update(mass_table(spec.mu, spec.sigma, c, lam).region.tolist())
+        assert seen == {0, 1, 2, 3}
+
+    def test_gradient_and_value_match_phi_array(self):
+        h = 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, c, lam in self.points():
+                table = mass_table(spec.mu, spec.sigma, c, lam)
+                d_c, d_lam = table.gradient()
+                fd_c = (phi_array(spec, c + h, lam) - phi_array(spec, c - h, lam)) / (2 * h)
+                fd_lam = (phi_array(spec, c, lam + h) - phi_array(spec, c, lam - h)) / (2 * h)
+                value = float(phi_array(spec, c, lam))
+                assert d_c == pytest.approx(float(fd_c), abs=2e-5)
+                assert d_lam == pytest.approx(float(fd_lam), abs=2e-5)
+                assert table.phi() == pytest.approx(value, rel=1e-12)
+
+    def test_derivative_columns_match_differences_of_the_masses(self):
+        h = 1e-7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec, c, lam in self.points()[:-2]:
+                table = mass_table(spec.mu, spec.sigma, c, lam)
+                p_c = [mass_table(spec.mu, spec.sigma, c + s * h, lam).p for s in (1, -1)]
+                p_lam = [mass_table(spec.mu, spec.sigma, c, lam + s * h).p for s in (1, -1)]
+                gap = [p[0] - p[2] for p in p_c]
+                np.testing.assert_allclose(
+                    table.dp0_dlam, (p_lam[0][1] - p_lam[1][1]) / (2 * h), rtol=0, atol=1e-6
+                )
+                np.testing.assert_allclose(
+                    table.dgap_dc, (gap[0] - gap[1]) / (2 * h), rtol=0, atol=1e-6
+                )
+                np.testing.assert_allclose(
+                    table.dp0_dc, (p_c[0][1] - p_c[1][1]) / (2 * h), rtol=0, atol=1e-6
+                )

@@ -16,6 +16,7 @@ from rangebounds import (
     minimize_phi,
     pair_cov_bounds,
     phi,
+    phi_array,
     plackett_iid_bound,
     rho2_closed,
     rho_bound,
@@ -270,3 +271,32 @@ class TestRhoBound:
             "residual",
             "iterations",
         ]
+
+
+class TestScale:
+    @pytest.mark.parametrize("a", [1.0, 1e-13, 1e-150, 1e-300])
+    def test_spread_means_solve_at_every_scale(self, a):
+        """Means spread by a are distinct at any scale, so the general solver
+        runs and finds sqrt(10) a."""
+        report = rho_bound(MomentSpec(mu=(0.0, a, 2.0 * a), sigma=(a, a, a)))
+        assert report.method == "general-solver"
+        assert report.rho / a == pytest.approx(math.sqrt(10.0), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1.0, 1e-13, 1e-150, 1e-300, 1e300])
+    def test_equal_means_take_the_closed_form_at_every_scale(self, a):
+        report = rho_bound(MomentSpec(mu=(a, a, a), sigma=(a, a, a)))
+        assert report.method.startswith("equal-means-closed-form")
+        assert report.rho / a == pytest.approx(math.sqrt(6.0), rel=1e-12)
+
+    def test_ten_thousand_coordinates_in_either_order(self):
+        rng = np.random.default_rng(23)
+        n = 10_000
+        mu = tuple(float(v) for v in rng.uniform(-3.0, 3.0, n))
+        sigma = tuple(float(v) for v in rng.uniform(0.2, 2.5, n))
+        spec = MomentSpec(mu=mu, sigma=sigma)
+        report = rho_bound(spec)
+        assert report.residual <= 1e-10
+        oracle = float(phi_array(spec, report.optimum.c, report.optimum.lam))
+        assert oracle == pytest.approx(report.rho, rel=1e-12)
+        reversed_spec = MomentSpec(mu=mu[::-1], sigma=sigma[::-1])
+        assert rho_bound(reversed_spec).rho == pytest.approx(report.rho, rel=1e-12)
