@@ -20,6 +20,7 @@ coordinate gap (`extremal_pair_given_correlation`).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import InfeasibleCouplingError, ValidationError
 from .objective import REGION_NAMES, DualPoint, MassTable, MomentSpec, mass_table
-from .solver import BoundReport, bnt_max_bound, gamma2_bound, rho_bound
+from .solver import BoundReport, bnt_max_bound, gamma2_bound, rho_bound, scaled_deviations
 
 __all__ = [
     "ThreePointDist",
@@ -418,14 +419,112 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
     return ProbabilityMatrix(q=matrix)
 
 
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component label of every node, by Tarjan (1972).
+
+    Iterative, so the depth of the search is bounded by memory rather than
+    by the interpreter's recursion limit.  A visited node still without a
+    label is exactly a node on Tarjan's stack.
+    """
+    size = len(succ)
+    index = [-1] * size
+    low = [0] * size
+    label = [-1] * size
+    stack: list[int] = []
+    counter = labels = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        label[w] = labels
+                        if w == v:
+                            break
+                    labels += 1
+    return label
+
+
+def _path(adj: list[list[int]], src: int, dst: int) -> list[int]:
+    """Nodes of a shortest path src, ..., dst, by breadth-first search."""
+    parent = {src: src}
+    queue = deque([src])
+    while dst not in parent:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _positive_cycle(positive: np.ndarray) -> list[int] | None:
+    """A cycle of positive cells in the row-column graph, or None for a forest.
+
+    Nodes are rows 0..n-1 and columns n..2n-1, one undirected edge per
+    positive cell; union-find meets the first cell that closes a cycle, and
+    the cycle is that cell plus the forest path between its ends.  Returned
+    as nodes starting at a row, alternating row and column.
+    """
+    n = positive.shape[0]
+    root = list(range(2 * n))
+    forest: list[list[int]] = [[] for _ in range(2 * n)]
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, j in np.argwhere(positive).tolist():
+        a, b = find(i), find(n + j)
+        if a == b:
+            return [i] + _path(forest, n + j, i)[:-1]
+        root[a] = b
+        forest[i].append(n + j)
+        forest[n + j].append(i)
+    return None
+
+
 def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
     """A different zero-diagonal coupling with the same marginals, or None.
 
-    Searches for a cycle of cells, alternating between mass-receiving cells
-    (any off-diagonal position) and mass-giving cells (positive entries),
-    that touches each row and column at most once; shifting the minimal
-    giving mass around such a cycle preserves both marginals.  The search is
-    exhaustive, so ``None`` certifies the coupling is the only one.
+    Another coupling exists exactly when mass can be shifted around a cycle
+    of cells that alternately receive mass (any off-diagonal cell) and give
+    it (any positive cell) without using one cell both ways.  In the
+    exchange digraph of the transportation polytope (Klee & Witzgall, 1968)
+    on rows r_i and columns c_j, with r_i -> c_j for every off-diagonal cell
+    and c_j -> r_i for every positive cell, such a cycle is a directed cycle
+    of length at least 4.  It either uses a one-way edge (a zero cell), which
+    then lies inside one strongly connected component, where a shortest
+    path back closes it; or it uses only positive cells, which then contain
+    an undirected cycle.  The components come from Tarjan's algorithm and
+    the positive cycle from union-find, so the whole certificate is O(n**2)
+    with no recursion, and ``None`` certifies the coupling is the only one.
+
+    Otherwise the smallest giving mass is shifted around the cycle found.
     """
     if not isinstance(m, ProbabilityMatrix):
         raise ValidationError("perturb_coupling expects a ProbabilityMatrix")
@@ -433,65 +532,37 @@ def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
         raise ValidationError("input matrix must have an exactly zero diagonal")
     q = m.q
     n = m.n
-
-    # Cycle state: rows/cols visited, and the cell path alternating
-    # plus (receive) and minus (give) cells.  A cycle closes when a giving
-    # step returns to the start row after at least two receiving cells.
-    def search(start_row: int) -> list[tuple[str, int, int]] | None:
-        path: list[tuple[str, int, int]] = []
-        used_rows = {start_row}
-        used_cols: set[int] = set()
-
-        def from_row(i: int) -> list[tuple[str, int, int]] | None:
-            for j in range(n):
-                if j == i or j in used_cols:
-                    continue
-                used_cols.add(j)
-                path.append(("plus", i, j))
-                found = from_col(j)
-                if found is not None:
-                    return found
-                path.pop()
-                used_cols.remove(j)
-            return None
-
-        def from_col(j: int) -> list[tuple[str, int, int]] | None:
-            for i in range(n):
-                if i == j or q[i, j] <= 0.0:
-                    continue
-                if i == start_row:
-                    if len(path) >= 3:
-                        return path + [("minus", i, j)]
-                    continue
-                if i in used_rows:
-                    continue
-                used_rows.add(i)
-                path.append(("minus", i, j))
-                found = from_row(i)
-                if found is not None:
-                    return found
-                path.pop()
-                used_rows.remove(i)
-            return None
-
-        return from_row(start_row)
-
-    for start in range(n):
-        cycle = search(start)
+    positive = q > 0.0
+    columns = list(range(n, 2 * n))
+    succ = [columns[:i] + columns[i + 1 :] for i in range(n)]
+    succ += [np.flatnonzero(positive[:, j]).tolist() for j in range(n)]
+    label = np.asarray(_strong_components(succ))
+    one_way = ~positive & (label[:n, None] == label[None, n:])
+    np.fill_diagonal(one_way, False)
+    if one_way.any():
+        i, j = np.argwhere(one_way)[0].tolist()
+        cycle: list[int] | None = [i] + _path(succ, n + j, i)[:-1]
+    else:
+        cycle = _positive_cycle(positive)
         if cycle is None:
-            continue
-        eps = min(q[i, j] for kind, i, j in cycle if kind == "minus")
-        out = np.array(q)
-        for kind, i, j in cycle:
-            if kind == "plus":
-                out[i, j] += eps
-            else:
-                out[i, j] -= eps
-        out[np.abs(out) < 1e-16] = 0.0
-        candidate = ProbabilityMatrix(q=out)
-        if _check_coupling(out, m.row_marginals, m.col_marginals, tol=1e-12):
-            return candidate
-    return None
+            return None
+    # Cell (rows[t], cols[t]) receives mass and (rows[t + 1], cols[t]) gives.
+    rows = cycle[0::2]
+    cols = [v - n for v in cycle[1::2]]
+    givers = rows[1:] + rows[:1]
+    eps = q[givers, cols].min()
+    out = np.array(q)
+    out[rows, cols] += eps
+    out[givers, cols] -= eps
+    out[np.abs(out) < 1e-16] = 0.0
+    candidate = ProbabilityMatrix(q=out)
+    if np.array_equal(out, q) or not _check_coupling(
+        out, m.row_marginals, m.col_marginals, tol=1e-12
+    ):
+        raise ValidationError(
+            "shifting mass around the exchange cycle failed the marginal check"
+        )
+    return candidate
 
 
 class ExtremalComponents(NamedTuple):
@@ -506,22 +577,23 @@ class ExtremalComponents(NamedTuple):
 
 
 def _joint_from_coupling(
-    marginals: Sequence[ThreePointDist], coupling: ProbabilityMatrix
+    x_zero: Sequence[float],
+    x_plus: Sequence[float],
+    x_minus: Sequence[float],
+    coupling: ProbabilityMatrix,
 ) -> JointDiscreteDistribution:
-    n = len(marginals)
-    support: list[tuple[float, ...]] = []
-    prob: list[float] = []
+    """One atom per positive cell (i, j), in row-major order, with mass q_ij:
+    coordinate i at x_plus[i], coordinate j at x_minus[j], every other k at
+    x_zero[k]."""
     q = coupling.q
-    for i in range(n):
-        for j in range(n):
-            if q[i, j] <= 0.0:
-                continue
-            vec = [d.x_zero for d in marginals]
-            vec[i] = marginals[i].x_plus
-            vec[j] = marginals[j].x_minus
-            support.append(tuple(vec))
-            prob.append(float(q[i, j]))
-    return JointDiscreteDistribution(support=tuple(support), prob=tuple(prob))
+    rows, cols = np.nonzero(q > 0.0)
+    support: list[tuple[float, ...]] = []
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        vec = list(x_zero)
+        vec[i] = x_plus[i]
+        vec[j] = x_minus[j]
+        support.append(tuple(vec))
+    return JointDiscreteDistribution(support=tuple(support), prob=tuple(q[rows, cols].tolist()))
 
 
 def extremal_components(spec: MomentSpec, tol: float = 1e-10) -> ExtremalComponents:
@@ -533,7 +605,12 @@ def extremal_components(spec: MomentSpec, tol: float = 1e-10) -> ExtremalCompone
     report = rho_bound(spec, tol)
     marginals, p_plus, p_minus = extremal_marginals(spec, report.optimum)
     coupling = zero_trace_coupling(p_plus, p_minus)
-    joint = _joint_from_coupling(marginals, coupling)
+    joint = _joint_from_coupling(
+        [d.x_zero for d in marginals],
+        [d.x_plus for d in marginals],
+        [d.x_minus for d in marginals],
+        coupling,
+    )
     return ExtremalComponents(report, marginals, p_plus, p_minus, coupling, joint)
 
 
@@ -561,15 +638,18 @@ def ag_tightness(
     """
     mu, sigma = spec.mu, spec.sigma
     mb = spec.mu_bar
-    d = [m - mb for m in mu]
-    theta2 = [di * di + s * s for di, s in zip(d, sigma)]
+    # In units of 2**e the squares cannot overflow, and (i) and (ii) are
+    # homogeneous of degree 2, so the verdicts are those of the raw values.
+    d, s, e = scaled_deviations(spec)
+    theta2 = [di * di + si * si for di, si in zip(d, s)]
     s_total = math.fsum(theta2)
-    ag = math.sqrt(2.0 * s_total)
+    ag_unit = math.sqrt(2.0 * s_total)
     slack = 1e-12 * s_total
-    cond_i = all(0.5 * abs(di) * ag <= t2 + slack for di, t2 in zip(d, theta2))
+    cond_i = all(0.5 * abs(di) * ag_unit <= t2 + slack for di, t2 in zip(d, theta2))
     cond_ii = all(t2 <= 0.5 * s_total + slack for t2 in theta2)
     if not (cond_i and cond_ii):
         return False, None, None
+    ag = math.ldexp(ag_unit, e)
     # (mu_bar, AG/4) is then the dual optimum, with every coordinate in I2
     # or on its boundary, and the table there gives the tail masses.
     table = mass_table(mu, sigma, mb, 0.25 * ag)
@@ -580,19 +660,8 @@ def ag_tightness(
     )
     coupling = zero_trace_coupling(p_plus, p_minus)
     half = 0.5 * ag
-    support: list[tuple[float, ...]] = []
-    prob: list[float] = []
-    q = coupling.q
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if q[i, j] <= 0.0:
-                continue
-            vec = [mb] * spec.n
-            vec[i] = mb + half
-            vec[j] = mb - half
-            support.append(tuple(vec))
-            prob.append(float(q[i, j]))
-    joint = JointDiscreteDistribution(support=tuple(support), prob=tuple(prob))
+    n = spec.n
+    joint = _joint_from_coupling([mb] * n, [mb + half] * n, [mb - half] * n, coupling)
     return True, unique, joint
 
 

@@ -101,11 +101,26 @@ class BoundReport:
         }
 
 
+def scaled_deviations(spec: MomentSpec) -> tuple[list[float], list[float], int]:
+    """(mu_i - mu_bar) / 2**e, sigma_i / 2**e, and e.
+
+    2**e is the power of two just above the largest of these magnitudes, so
+    the scaled values lie below 1 and their squares cannot overflow.
+    Division by a power of two is exact: a quantity of degree k computed
+    from the scaled values, times 2**(k e), is bit-identical to the same
+    computation on the raw values wherever that one does not overflow.
+    """
+    mb = spec.mu_bar
+    dev = [m - mb for m in spec.mu]
+    e = math.frexp(max(max(map(abs, dev)), max(spec.sigma)))[1]
+    return [math.ldexp(v, -e) for v in dev], [math.ldexp(s, -e) for s in spec.sigma], e
+
+
 def ag_bound(spec: MomentSpec) -> float:
     """Closed-form upper bound sqrt(2 * sum_i [(mu_i - mu_bar)**2 + sigma_i**2])."""
-    mb = spec.mu_bar
-    total = math.fsum((m - mb) ** 2 + s * s for m, s in zip(spec.mu, spec.sigma))
-    return math.sqrt(2.0 * total)
+    dev, sig, e = scaled_deviations(spec)
+    total = math.fsum(d**2 + s * s for d, s in zip(dev, sig))
+    return math.ldexp(math.sqrt(2.0 * total), e)
 
 
 def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
@@ -122,9 +137,9 @@ def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
         )
     cbar = math.fsum(cs) / len(cs)
     spread = math.fsum((v - cbar) ** 2 for v in cs)
-    mb = spec.mu_bar
-    total = math.fsum((m - mb) ** 2 + s * s for m, s in zip(spec.mu, spec.sigma))
-    return mb * math.fsum(cs) + math.sqrt(spread) * math.sqrt(total)
+    dev, sig, e = scaled_deviations(spec)
+    total = math.fsum(d**2 + s * s for d, s in zip(dev, sig))
+    return spec.mu_bar * math.fsum(cs) + math.ldexp(math.sqrt(spread) * math.sqrt(total), e)
 
 
 def plackett_iid_bound(n: int, sigma: float) -> float:

@@ -75,3 +75,78 @@ def phi_by_nelder_mead(spec: MomentSpec) -> tuple[float, float, float]:
         options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 6000, "maxfev": 6000},
     )
     return float(result.fun), float(result.x[0]), math.exp(float(result.x[1]))
+
+
+def perturb_coupling_by_search(q: np.ndarray) -> np.ndarray | None:
+    """A different zero-diagonal matrix with the marginals of ``q``, or None.
+
+    Exhaustive recursive search, for small n only: from each start row it
+    tries every cycle of cells alternating between mass-receiving cells (any
+    off-diagonal position) and mass-giving cells (positive entries) that
+    touches each row and column at most once, and shifts the smallest giving
+    mass around the first cycle whose result keeps the marginals to 1e-12.
+    ``None`` means no such cycle exists.
+    """
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+
+    def search(start_row: int) -> list[tuple[str, int, int]] | None:
+        path: list[tuple[str, int, int]] = []
+        used_rows = {start_row}
+        used_cols: set[int] = set()
+
+        def from_row(i: int) -> list[tuple[str, int, int]] | None:
+            for j in range(n):
+                if j == i or j in used_cols:
+                    continue
+                used_cols.add(j)
+                path.append(("plus", i, j))
+                found = from_col(j)
+                if found is not None:
+                    return found
+                path.pop()
+                used_cols.remove(j)
+            return None
+
+        def from_col(j: int) -> list[tuple[str, int, int]] | None:
+            for i in range(n):
+                if i == j or q[i, j] <= 0.0:
+                    continue
+                if i == start_row:
+                    if len(path) >= 3:
+                        return path + [("minus", i, j)]
+                    continue
+                if i in used_rows:
+                    continue
+                used_rows.add(i)
+                path.append(("minus", i, j))
+                found = from_row(i)
+                if found is not None:
+                    return found
+                path.pop()
+                used_rows.remove(i)
+            return None
+
+        return from_row(start_row)
+
+    for start in range(n):
+        # A cycle leaves its start row through a giving cell, so a row
+        # without one starts none; searching it would only cost time.
+        if not np.any(q[start] > 0.0):
+            continue
+        cycle = search(start)
+        if cycle is None:
+            continue
+        eps = min(q[i, j] for kind, i, j in cycle if kind == "minus")
+        out = np.array(q)
+        for kind, i, j in cycle:
+            out[i, j] += eps if kind == "plus" else -eps
+        out[np.abs(out) < 1e-16] = 0.0
+        if (
+            out.min() >= 0.0
+            and not np.any(np.diag(out))
+            and np.max(np.abs(out.sum(axis=1) - q.sum(axis=1))) <= 1e-12
+            and np.max(np.abs(out.sum(axis=0) - q.sum(axis=0))) <= 1e-12
+        ):
+            return out
+    return None

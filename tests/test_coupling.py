@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import perturb_coupling_by_search, random_spec
 from rangebounds import (
     InfeasibleCouplingError,
     JointDiscreteDistribution,
@@ -13,6 +14,32 @@ from rangebounds import (
     perturb_coupling,
     zero_trace_coupling,
 )
+
+
+def star_matrix(rng, n, center=0):
+    """A zero-diagonal matrix supported on one row and the same column: the
+    shape of the forced coupling, which no other coupling shares."""
+    q = np.zeros((n, n))
+    others = [k for k in range(n) if k != center]
+    q[others, center] = rng.uniform(0.1, 1.0, n - 1)
+    q[center, others] = rng.uniform(0.1, 1.0, n - 1)
+    return ProbabilityMatrix(q=q / q.sum())
+
+
+def star_spec(rng, n):
+    """Equal means with sigma_0**2 the sum of the other variances: the tail
+    masses of coordinate 0 sum to 1, which forces the coupling."""
+    sigma = rng.uniform(0.2, 1.5, n)
+    sigma[0] = math.sqrt(math.fsum(float(s) ** 2 for s in sigma[1:]))
+    return MomentSpec(mu=(float(rng.uniform(-1.0, 1.0)),) * n, sigma=tuple(sigma.tolist()))
+
+
+def assert_valid_perturbation(matrix, other):
+    assert float(other.q.min()) >= 0.0
+    assert other.is_zero_trace()
+    np.testing.assert_allclose(other.row_marginals, matrix.row_marginals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(other.col_marginals, matrix.col_marginals, rtol=0, atol=1e-12)
+    assert not np.array_equal(other.q, matrix.q)
 
 
 def feasible_marginals(rng, n):
@@ -210,3 +237,45 @@ class TestPerturbCoupling:
         matrix = ProbabilityMatrix(q=np.array([[0.25, 0.25], [0.25, 0.25]]))
         with pytest.raises(ValidationError):
             perturb_coupling(matrix)
+
+    def test_agrees_with_exhaustive_search(self):
+        """The exchange-digraph certificate and the exhaustive cycle search
+        agree on whether another coupling exists: on random sparse matrices,
+        on star matrices, and on the couplings of star and general specs."""
+        rng = np.random.default_rng(97)
+        matrices = []
+        while len(matrices) < 1000:
+            n = int(rng.integers(2, 9))
+            q = np.where(rng.random((n, n)) < rng.uniform(0.05, 0.6), rng.random((n, n)), 0.0)
+            np.fill_diagonal(q, 0.0)
+            if q.sum() > 0.0:
+                matrices.append(ProbabilityMatrix(q=q / q.sum()))
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            matrices.append(star_matrix(rng, n, center=int(rng.integers(n))))
+            matrices.append(extremal_components(star_spec(rng, max(n, 3))).coupling)
+            matrices.append(extremal_components(random_spec(rng)).coupling)
+        unique = 0
+        for matrix in matrices:
+            other = perturb_coupling(matrix)
+            assert (other is None) == (perturb_coupling_by_search(matrix.q) is None)
+            if other is None:
+                unique += 1
+            else:
+                assert_valid_perturbation(matrix, other)
+        # Both verdicts are well represented.
+        assert 200 < unique < len(matrices) - 200
+
+    def test_large_star_certified_without_recursion(self):
+        """A forced coupling at n = 600, past 1000 rows and columns in all:
+        the certificate is iterative and O(n**2), so neither the recursion
+        limit nor the size stops it."""
+        rng = np.random.default_rng(5)
+        assert perturb_coupling(star_matrix(rng, 600, center=17)) is None
+
+    def test_large_general_spec_perturbed(self):
+        rng = np.random.default_rng(11)
+        coupling = extremal_components(random_spec(rng, n=80)).coupling
+        other = perturb_coupling(coupling)
+        assert other is not None
+        assert_valid_perturbation(coupling, other)

@@ -10,6 +10,7 @@ from rangebounds import (
     ValidationError,
     ag_bound,
     ag_general_bound,
+    ag_tightness,
     bnt_max_bound,
     equal_means_bound,
     gamma2_bound,
@@ -281,6 +282,21 @@ class TestScale:
         report = rho_bound(MomentSpec(mu=(0.0, a, 2.0 * a), sigma=(a, a, a)))
         assert report.method == "general-solver"
         assert report.rho / a == pytest.approx(math.sqrt(10.0), rel=1e-12)
+
+    @pytest.mark.parametrize("a", [1e160, 1e300])
+    def test_closed_form_bounds_do_not_overflow(self, a):
+        """Squared deviations overflow past about 1.3e154 unless scaled
+        first; the dispersion-tight triple stays tight at every scale."""
+        unit = MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 1.0, 1.0))
+        spec = MomentSpec(mu=(0.0, a, 2.0 * a), sigma=(a, a, a))
+        report = rho_bound(spec)
+        assert report.rho / a == pytest.approx(math.sqrt(10.0), rel=1e-12)
+        assert report.ag / a == pytest.approx(ag_bound(unit), rel=1e-12)
+        coeffs = (-1.0, 0.0, 1.0)
+        assert ag_general_bound(spec, coeffs) / a == pytest.approx(
+            ag_general_bound(unit, coeffs), rel=1e-12
+        )
+        assert ag_tightness(spec)[:2] == ag_tightness(unit)[:2] == (True, None)
 
     @pytest.mark.parametrize("a", [1.0, 1e-13, 1e-150, 1e-300, 1e300])
     def test_equal_means_take_the_closed_form_at_every_scale(self, a):
