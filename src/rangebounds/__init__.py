@@ -14,6 +14,7 @@ from .errors import (
     ValidationError,
 )
 from .extremal import (
+    AttainingJoint,
     ExtremalComponents,
     JointDiscreteDistribution,
     PairSampler,
@@ -67,6 +68,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AttainingJoint",
     "BoundReport",
     "ConvergenceError",
     "DualPoint",

@@ -26,11 +26,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConvergenceError, ValidationError
-from .extremal import JointDiscreteDistribution, extremal_components
+from .extremal import AttainingJoint, JointDiscreteDistribution, extremal_components
 from .objective import MomentSpec
 from .solver import bnt_max_bound, plackett_iid_bound, rho_bound
-from .verify import check_moments, expected_range, mc_expected_range
+from .verify import MomentCheckReport, check_moments, mc_expected_range
 
 __all__ = ["CliConfig", "run", "main"]
 
@@ -136,6 +138,57 @@ def _run_bound(config: CliConfig) -> int:
     return 0
 
 
+def _floatstrs(values: np.ndarray) -> list[str]:
+    """Each value as ``json`` writes a float: its repr, or Infinity/NaN."""
+    return [repr(v) if math.isfinite(v) else json.dumps(v) for v in values.tolist()]
+
+
+def _nested(rows: list[list[str]], depth: int) -> str:
+    """A list of lists of JSON values, laid out as ``json.dumps(indent=2)``
+    lays it out ``depth`` levels deep."""
+    outer = "\n" + "  " * (depth + 1)
+    inner = "\n" + "  " * (depth + 2)
+    items = ("[" + inner + ("," + inner).join(row) + outer + "]" for row in rows)
+    return "[" + outer + ("," + outer).join(items) + "\n" + "  " * depth + "]"
+
+
+def _extremal_json(head: dict, joint: AttainingJoint) -> str:
+    """``json.dumps({**head, "joint": ..., "coupling": ...}, indent=2)``.
+
+    The attaining law's atoms are x_zero with two entries replaced, so each
+    of the 3n points is formatted once and an atom's line reuses the
+    strings; the coupling formats only its nonzero cells.
+    """
+    x_zero = _floatstrs(joint.x_zero)
+    x_plus = _floatstrs(joint.x_plus)
+    x_minus = _floatstrs(joint.x_minus)
+    atoms = []
+    for i, j in zip(*(c.tolist() for c in joint.cells)):
+        atom = x_zero.copy()
+        atom[i] = x_plus[i]
+        atom[j] = x_minus[j]
+        atoms.append(atom)
+    q = joint.coupling.q
+    written = (q != 0.0) | np.signbit(q)
+    cells = []
+    for row, mask in zip(q, written):
+        line = ["0.0"] * len(row)
+        for j, text in zip(np.flatnonzero(mask).tolist(), _floatstrs(row[mask])):
+            line[j] = text
+        cells.append(line)
+    prob = ",\n      ".join(_floatstrs(np.asarray(joint.prob)))
+    return (
+        json.dumps(head, indent=2)[:-2]
+        + ',\n  "joint": {\n    "support": '
+        + _nested(atoms, 2)
+        + ',\n    "prob": [\n      '
+        + prob
+        + '\n    ]\n  },\n  "coupling": {\n    "q": '
+        + _nested(cells, 2)
+        + "\n  }\n}"
+    )
+
+
 def _run_extremal(config: CliConfig) -> int:
     if config.format == "csv":
         raise ValidationError(
@@ -143,25 +196,24 @@ def _run_extremal(config: CliConfig) -> int:
         )
     spec = MomentSpec.from_json_dict(_read_input(config.input_source))
     parts = extremal_components(spec, tol=config.tol)
-    _emit_json(
-        {
-            "mu": list(spec.mu),
-            "sigma": list(spec.sigma),
-            "rho": parts.report.rho,
-            "c": parts.report.optimum.c,
-            "lambda": parts.report.optimum.lam,
-            "joint": parts.joint.to_json_dict(),
-            "coupling": parts.coupling.to_json_dict(),
-        }
-    )
+    head = {
+        "mu": list(spec.mu),
+        "sigma": list(spec.sigma),
+        "rho": parts.report.rho,
+        "c": parts.report.optimum.c,
+        "lambda": parts.report.optimum.lam,
+    }
+    sys.stdout.write(_extremal_json(head, parts.joint) + "\n")
     return 0
 
 
-def _joint_agrees(joint: JointDiscreteDistribution, spec: MomentSpec, rho: float, tol: float) -> tuple[dict, bool]:
+def _joint_agrees(
+    joint: JointDiscreteDistribution | AttainingJoint, spec: MomentSpec, rho: float, tol: float
+) -> tuple[MomentCheckReport, bool]:
     check = check_moments(joint, spec, tol=tol)
     gap = abs(check.expected_range - rho)
     ok = check.passed and gap <= 1e-9 * (1.0 + rho)
-    return check.to_json_dict(), ok
+    return check, ok
 
 
 def _run_verify(config: CliConfig) -> int:
@@ -175,8 +227,8 @@ def _run_verify(config: CliConfig) -> int:
     moment_tol = max(config.tol, 1e-10)
     parts = extremal_components(spec, tol=config.tol)
     rho = parts.report.rho
-    check_dict, rebuilt_ok = _joint_agrees(parts.joint, spec, rho, moment_tol)
-    exact = expected_range(parts.joint)
+    check, rebuilt_ok = _joint_agrees(parts.joint, spec, rho, moment_tol)
+    exact = check.expected_range
     estimate, std_error = mc_expected_range(parts.joint, config.samples, seed=config.seed)
     mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12
     embedded_ok: bool | None = None
@@ -186,7 +238,7 @@ def _run_verify(config: CliConfig) -> int:
     payload = {
         "rho": rho,
         "expected_range": exact,
-        "moment_check": check_dict,
+        "moment_check": check.to_json_dict(),
         "mc_estimate": estimate,
         "mc_std_error": std_error,
         "embedded_joint_pass": embedded_ok,
@@ -219,7 +271,7 @@ def _run_compare(config: CliConfig) -> int:
     return 0
 
 
-def _range_distribution(joint: JointDiscreteDistribution) -> list[tuple[float, float]]:
+def _range_distribution(joint: AttainingJoint) -> list[tuple[float, float]]:
     """Distinct range values with masses, merging values within 1e-9."""
     pairs = sorted(
         (max(vec) - min(vec), p) for vec, p in zip(joint.support, joint.prob)
@@ -234,7 +286,7 @@ def _range_distribution(joint: JointDiscreteDistribution) -> list[tuple[float, f
 
 
 def _atom_table_error(
-    joint: JointDiscreteDistribution, expected: list[tuple[tuple[float, ...], float]]
+    joint: AttainingJoint, expected: list[tuple[tuple[float, ...], float]]
 ) -> float:
     """Worst coordinate or mass deviation against an expected atom table."""
     if len(joint.support) != len(expected):

@@ -19,9 +19,11 @@ coordinate gap (`extremal_pair_given_correlation`).
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +36,7 @@ __all__ = [
     "ThreePointDist",
     "ProbabilityMatrix",
     "JointDiscreteDistribution",
+    "AttainingJoint",
     "univariate_extremal",
     "extremal_marginals",
     "zero_trace_coupling",
@@ -47,6 +50,7 @@ __all__ = [
     "PairSampler",
 ]
 
+_EPS = float(np.finfo(float).eps)
 _MASS_EPS = 1e-14
 
 
@@ -184,8 +188,8 @@ class JointDiscreteDistribution:
     prob: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        support = tuple(tuple(float(v) for v in vec) for vec in self.support)
-        prob = tuple(float(p) for p in self.prob)
+        support = tuple(tuple(map(float, vec)) for vec in self.support)
+        prob = tuple(map(float, self.prob))
         if len(support) == 0:
             raise ValidationError("support must be non-empty")
         if len(support) != len(prob):
@@ -209,6 +213,11 @@ class JointDiscreteDistribution:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.support, dtype=float), np.asarray(self.prob, dtype=float)
+
+    def atom_ranges(self) -> np.ndarray:
+        """max - min of every atom."""
+        support = self.arrays()[0]
+        return support.max(axis=1) - support.min(axis=1)
 
     def to_json_dict(self) -> dict:
         return {"support": [list(vec) for vec in self.support], "prob": list(self.prob)}
@@ -277,6 +286,28 @@ def _validate_marginal_vector(v: Sequence[float], name: str) -> list[float]:
     return vals
 
 
+def _heap(values: list[float]) -> list[tuple[float, int]]:
+    heap = [(-v, l) for l, v in enumerate(values)]
+    heapq.heapify(heap)
+    return heap
+
+
+def _top(heap: list[tuple[float, int]], values: list[float], count: int) -> list[int]:
+    """The first ``count`` indices by decreasing value, ties by increasing index.
+
+    ``heap`` holds (-value, index) entries and is updated lazily: an entry
+    whose value is no longer ``values[index]`` is stale and dropped here.
+    """
+    found: list[tuple[float, int]] = []
+    while heap and len(found) < count:
+        entry = heapq.heappop(heap)
+        if entry[0] == -values[entry[1]] and entry not in found:
+            found.append(entry)
+    for entry in found:
+        heapq.heappush(heap, entry)
+    return [index for _, index in found]
+
+
 def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
     """Largest-remaining-sum greedy with a capped transfer, stall-free.
 
@@ -286,19 +317,29 @@ def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
     equality the remaining matrix is forced entirely into its row and column,
     which also reproduces the unique solution of the equality case.  Each
     pass zeroes a marginal entry or triggers the forced branch, so the loop
-    ends within about 2n steps.
+    ends within about 2n steps.  A pass changes two entries, so heaps find
+    the largest p_l + q_l, p_i and q_j in O(log n) each; ties go to the
+    lowest index.
+
+    Mass within ``tol`` of zero, or of the remaining total m, counts as
+    exactly there.  ``tol`` is 1e-14, about 45 ulps of the total mass 1, or
+    n ulps of m when that is larger: m sums n rounded masses that the
+    solver balances only to its residual, so the tail masses of a star with
+    n = 200 sum to 1 + 1.3e-14.
     """
     n = len(p)
     out = np.zeros((n, n), dtype=float)
     pt = list(p)
     qt = list(q)
+    sums = [a + b for a, b in zip(pt, qt)]
+    by_p, by_q, by_sum = _heap(pt), _heap(qt), _heap(sums)
     for _ in range(4 * n + 8):
         m = math.fsum(pt)
         if m <= _MASS_EPS:
             break
-        sums = [pt[l] + qt[l] for l in range(n)]
-        k = max(range(n), key=sums.__getitem__)
-        if sums[k] >= m - _MASS_EPS:
+        tol = max(_MASS_EPS, n * _EPS * m)
+        k = _top(by_sum, sums, 1)[0]
+        if sums[k] >= m - tol:
             for i in range(n):
                 if i != k and pt[i] > 0.0:
                     out[i, k] += pt[i]
@@ -311,66 +352,27 @@ def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
             break
         if pt[k] >= qt[k]:
             row = k
-            col = max((j for j in range(n) if j != k), key=qt.__getitem__)
+            col = next(j for j in _top(by_q, qt, 2) if j != k)
         else:
             col = k
-            row = max((i for i in range(n) if i != k), key=pt.__getitem__)
-        others = [sums[l] for l in range(n) if l != row and l != col]
-        cap = m - max(others, default=0.0)
+            row = next(i for i in _top(by_p, pt, 2) if i != k)
+        others = [l for l in _top(by_sum, sums, 3) if l != row and l != col]
+        cap = m - (sums[others[0]] if others else 0.0)
         delta = min(pt[row], qt[col], cap)
         out[row, col] += delta
         pt[row] -= delta
         qt[col] -= delta
         # A cap an ulp short of an entry leaves float residue there, which
         # the forced branch would otherwise turn into a cell of its own.
-        if pt[row] <= _MASS_EPS:
+        if pt[row] <= tol:
             pt[row] = 0.0
-        if qt[col] <= _MASS_EPS:
+        if qt[col] <= tol:
             qt[col] = 0.0
-    return out
-
-
-def _coupling_by_swaps(p: list[float], q: list[float]) -> np.ndarray:
-    """Fallback: start at the product coupling and swap mass off the diagonal.
-
-    For a diagonal cell (i, i), feasibility guarantees mass somewhere outside
-    row i and column i; a 2 x 2 swap with an off-diagonal cell (or a paired
-    swap with another diagonal cell) moves min of the two masses while
-    preserving both marginals.  Once the trace is negligible the diagonal is
-    zeroed and the matrix renormalized.
-    """
-    n = len(p)
-    out = np.outer(np.asarray(p), np.asarray(q))
-    for _ in range(10 * n * n + 10):
-        diag = np.diag(out)
-        i = int(np.argmax(diag))
-        if diag[i] <= _MASS_EPS:
-            break
-        masked = out.copy()
-        masked[i, :] = 0.0
-        masked[:, i] = 0.0
-        j, k = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[j, k] <= 0.0:
-            raise InfeasibleCouplingError(
-                "no mass available outside the diagonal cell's row and column"
-            )
-        if j != k:
-            eps = min(out[i, i], out[j, k])
-            out[i, i] -= eps
-            out[j, k] -= eps
-            out[i, k] += eps
-            out[j, i] += eps
-        else:
-            eps = min(out[i, i], out[j, j])
-            out[i, i] -= eps
-            out[j, j] -= eps
-            out[i, j] += eps
-            out[j, i] += eps
-    np.fill_diagonal(out, 0.0)
-    total = out.sum()
-    if total <= 0.0:
-        raise InfeasibleCouplingError("coupling collapsed to zero mass")
-    out /= total
+        heapq.heappush(by_p, (-pt[row], row))
+        heapq.heappush(by_q, (-qt[col], col))
+        for l in (row, col):
+            sums[l] = pt[l] + qt[l]
+            heapq.heappush(by_sum, (-sums[l], l))
     return out
 
 
@@ -393,8 +395,8 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
 
     Exists if and only if max_i (p_i + q_i) <= 1.  At equality for index k
     the solution is unique: column k carries p_i (i != k) and row k carries
-    q_j (j != k).  Away from equality the greedy construction is used and
-    post-verified, with a product-coupling swap procedure as fallback.
+    q_j (j != k).  The greedy construction covers both cases; its marginals
+    are checked to 1e-12 and a miss raises ``InfeasibleCouplingError``.
     """
     pv = _validate_marginal_vector(p, "p")
     qv = _validate_marginal_vector(q, "q")
@@ -411,11 +413,7 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
         )
     matrix = _coupling_by_greedy(pv, qv)
     if not _check_coupling(matrix, pv, qv):
-        matrix = _coupling_by_swaps(pv, qv)
-        if not _check_coupling(matrix, pv, qv, tol=1e-9):
-            raise InfeasibleCouplingError(
-                "both coupling constructions failed the marginal check"
-            )
+        raise InfeasibleCouplingError("the greedy coupling failed the marginal check")
     return ProbabilityMatrix(q=matrix)
 
 
@@ -573,27 +571,101 @@ class ExtremalComponents(NamedTuple):
     p_plus: tuple[float, ...]
     p_minus: tuple[float, ...]
     coupling: ProbabilityMatrix
-    joint: JointDiscreteDistribution
+    joint: AttainingJoint
 
 
-def _joint_from_coupling(
-    x_zero: Sequence[float],
-    x_plus: Sequence[float],
-    x_minus: Sequence[float],
-    coupling: ProbabilityMatrix,
-) -> JointDiscreteDistribution:
-    """One atom per positive cell (i, j), in row-major order, with mass q_ij:
-    coordinate i at x_plus[i], coordinate j at x_minus[j], every other k at
-    x_zero[k]."""
-    q = coupling.q
-    rows, cols = np.nonzero(q > 0.0)
-    support: list[tuple[float, ...]] = []
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        vec = list(x_zero)
-        vec[i] = x_plus[i]
-        vec[j] = x_minus[j]
-        support.append(tuple(vec))
-    return JointDiscreteDistribution(support=tuple(support), prob=tuple(q[rows, cols].tolist()))
+def _first_outside(
+    values: np.ndarray, candidates: np.ndarray, rows: np.ndarray, cols: np.ndarray, fill: float
+) -> np.ndarray:
+    """Per atom, ``values`` at the first candidate index that is neither its
+    row nor its column, or ``fill`` when every candidate is."""
+    out = np.full(rows.shape, fill)
+    open_ = np.ones(rows.shape, dtype=bool)
+    for k in candidates.tolist():
+        take = open_ & (rows != k) & (cols != k)
+        out[take] = values[k]
+        open_ &= ~take
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class AttainingJoint:
+    """The attaining law, stored as its points and its coupling.
+
+    One atom per positive cell (i, j) of ``coupling``, in row-major order,
+    with mass q_ij: coordinate i at x_plus[i], coordinate j at x_minus[j],
+    every other coordinate k at x_zero[k].  It answers the questions of a
+    ``JointDiscreteDistribution`` (``support``, ``prob``, ``arrays()``,
+    ``atom_ranges()``, ``to_json_dict()``) with the same values; the
+    n-tuples of ``support`` are built only when asked for.
+    """
+
+    x_zero: np.ndarray
+    x_plus: np.ndarray
+    x_minus: np.ndarray
+    coupling: ProbabilityMatrix
+
+    def __post_init__(self) -> None:
+        n = self.coupling.n
+        for name in ("x_zero", "x_plus", "x_minus"):
+            values = np.array(getattr(self, name), dtype=float)
+            if values.shape != (n,):
+                raise ValidationError(f"{name} must hold {n} values, got shape {values.shape}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        total = math.fsum(self.prob)
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        # Two distinct cells put some coordinate at two different kinds of
+        # point (top, middle, bottom), so their atoms can coincide only
+        # where two of a coordinate's points are equal.
+        x0, xp, xm = self.x_zero, self.x_plus, self.x_minus
+        if np.any((x0 == xp) | (x0 == xm) | (xp == xm)) and len(set(self.support)) != len(
+            self.support
+        ):
+            raise ValidationError("duplicate support vectors")
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the positive cells, row-major."""
+        return np.nonzero(self.coupling.q > 0.0)
+
+    @cached_property
+    def prob(self) -> tuple[float, ...]:
+        return tuple(self.coupling.q[self.cells].tolist())
+
+    @cached_property
+    def support(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, self.arrays()[0].tolist()))
+
+    @property
+    def dim(self) -> int:
+        return self.x_zero.shape[0]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(support, prob) as a fresh (atoms, n) array and a mass vector."""
+        rows, cols = self.cells
+        support = np.tile(self.x_zero, (rows.shape[0], 1))
+        atoms = np.arange(rows.shape[0])
+        support[atoms, rows] = self.x_plus[rows]
+        support[atoms, cols] = self.x_minus[cols]
+        return support, self.coupling.q[rows, cols]
+
+    def atom_ranges(self) -> np.ndarray:
+        """max - min of every atom, in O(1) per atom.
+
+        Outside its row and column an atom equals x_zero, whose extremes
+        there are among its three largest and three smallest entries.
+        """
+        rows, cols = self.cells
+        ends = (self.x_plus[rows], self.x_minus[cols])
+        order = np.argsort(self.x_zero, kind="stable")
+        top = _first_outside(self.x_zero, order[::-1][:3], rows, cols, -math.inf)
+        bottom = _first_outside(self.x_zero, order[:3], rows, cols, math.inf)
+        return np.maximum(np.maximum(*ends), top) - np.minimum(np.minimum(*ends), bottom)
+
+    def to_json_dict(self) -> dict:
+        return {"support": self.arrays()[0].tolist(), "prob": list(self.prob)}
 
 
 def extremal_components(spec: MomentSpec, tol: float = 1e-10) -> ExtremalComponents:
@@ -605,23 +677,23 @@ def extremal_components(spec: MomentSpec, tol: float = 1e-10) -> ExtremalCompone
     report = rho_bound(spec, tol)
     marginals, p_plus, p_minus = extremal_marginals(spec, report.optimum)
     coupling = zero_trace_coupling(p_plus, p_minus)
-    joint = _joint_from_coupling(
-        [d.x_zero for d in marginals],
-        [d.x_plus for d in marginals],
-        [d.x_minus for d in marginals],
-        coupling,
+    joint = AttainingJoint(
+        x_zero=[d.x_zero for d in marginals],
+        x_plus=[d.x_plus for d in marginals],
+        x_minus=[d.x_minus for d in marginals],
+        coupling=coupling,
     )
     return ExtremalComponents(report, marginals, p_plus, p_minus, coupling, joint)
 
 
-def build_extremal_joint(spec: MomentSpec, tol: float = 1e-10) -> JointDiscreteDistribution:
+def build_extremal_joint(spec: MomentSpec, tol: float = 1e-10) -> AttainingJoint:
     """A joint law with the prescribed moments whose expected range is rho_n."""
     return extremal_components(spec, tol).joint
 
 
 def ag_tightness(
     spec: MomentSpec,
-) -> tuple[bool, bool | None, JointDiscreteDistribution | None]:
+) -> tuple[bool, bool | None, AttainingJoint | None]:
     """Decide whether rho_n equals the closed-form bound, and build a witness.
 
     The bound sqrt(2 S), S = sum_i [(mu_i - mu_bar)**2 + sigma_i**2], is
@@ -661,7 +733,10 @@ def ag_tightness(
     coupling = zero_trace_coupling(p_plus, p_minus)
     half = 0.5 * ag
     n = spec.n
-    joint = _joint_from_coupling([mb] * n, [mb + half] * n, [mb - half] * n, coupling)
+    joint = AttainingJoint(
+        x_zero=np.full(n, mb), x_plus=np.full(n, mb + half), x_minus=np.full(n, mb - half),
+        coupling=coupling,
+    )
     return True, unique, joint
 
 

@@ -2,17 +2,31 @@
 
 Nothing here imports solver internals: the linear program, the finite
 differences, and the derivative-free minimizer only see public evaluation
-functions, so agreement is evidence rather than tautology.
+functions, so agreement is evidence rather than tautology.  The attaining
+law's plain forms live here too: the law as explicit n-tuples, the moment
+check and expected range as loops over them, the greedy coupling with
+linear scans, and the ``extremal``/``verify`` output as ``json.dumps`` of
+the full payload.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from rangebounds import DualPoint, MomentSpec, phi
+from rangebounds import (
+    DualPoint,
+    ExtremalComponents,
+    JointDiscreteDistribution,
+    MomentCheckReport,
+    MomentSpec,
+    extremal_components,
+    mc_expected_range,
+    phi,
+)
 
 
 def random_spec(rng: np.random.Generator, n: int | None = None) -> MomentSpec:
@@ -22,6 +36,16 @@ def random_spec(rng: np.random.Generator, n: int | None = None) -> MomentSpec:
     mu = tuple(float(v) for v in rng.uniform(-3.0, 3.0, n))
     sigma = tuple(float(v) for v in rng.uniform(0.2, 2.5, n))
     return MomentSpec(mu=mu, sigma=sigma)
+
+
+def star_spec(seed: int, n: int, a: float = 1.0, b: float = 0.0) -> MomentSpec:
+    """Equal means and sigma_0**2 the sum of the other variances, scaled by
+    a and shifted by b: the coupling is forced into row and column 0."""
+    rng = np.random.default_rng(seed)
+    sigma = rng.uniform(0.2, 1.5, size=n)
+    mu = float(rng.uniform(-1.0, 1.0))
+    sigma[0] = math.sqrt(math.fsum(float(s) * float(s) for s in sigma[1:]))
+    return MomentSpec(mu=(a * mu + b,) * n, sigma=tuple(a * float(s) for s in sigma))
 
 
 def u_by_linprog(x: float, y: float, points: int = 2001) -> float:
@@ -150,3 +174,151 @@ def perturb_coupling_by_search(q: np.ndarray) -> np.ndarray | None:
         ):
             return out
     return None
+
+
+def coupling_by_scan(p: list[float], q: list[float]) -> np.ndarray:
+    """The largest-remaining-sum greedy coupling with linear scans.
+
+    The same float steps as ``extremal._coupling_by_greedy``, with every
+    maximum found by ``max`` over all indices (ties to the lowest index)
+    instead of by a heap: O(n) per step.
+    """
+    n = len(p)
+    out = np.zeros((n, n), dtype=float)
+    pt = list(p)
+    qt = list(q)
+    for _ in range(4 * n + 8):
+        m = math.fsum(pt)
+        if m <= 1e-14:
+            break
+        tol = max(1e-14, n * float(np.finfo(float).eps) * m)
+        sums = [pt[l] + qt[l] for l in range(n)]
+        k = max(range(n), key=sums.__getitem__)
+        if sums[k] >= m - tol:
+            for i in range(n):
+                if i != k and pt[i] > 0.0:
+                    out[i, k] += pt[i]
+                    pt[i] = 0.0
+            for j in range(n):
+                if j != k and qt[j] > 0.0:
+                    out[k, j] += qt[j]
+                    qt[j] = 0.0
+            pt[k] = qt[k] = 0.0
+            break
+        if pt[k] >= qt[k]:
+            row = k
+            col = max((j for j in range(n) if j != k), key=qt.__getitem__)
+        else:
+            col = k
+            row = max((i for i in range(n) if i != k), key=pt.__getitem__)
+        others = [sums[l] for l in range(n) if l != row and l != col]
+        cap = m - max(others, default=0.0)
+        delta = min(pt[row], qt[col], cap)
+        out[row, col] += delta
+        pt[row] -= delta
+        qt[col] -= delta
+        if pt[row] <= tol:
+            pt[row] = 0.0
+        if qt[col] <= tol:
+            qt[col] = 0.0
+    return out
+
+
+def joint_by_tuples(
+    x_zero: list[float], x_plus: list[float], x_minus: list[float], q: np.ndarray
+) -> JointDiscreteDistribution:
+    """The attaining law as explicit n-tuples: one atom per positive cell
+    (i, j), row-major, with coordinate i at x_plus[i], j at x_minus[j] and
+    every other k at x_zero[k]."""
+    rows, cols = np.nonzero(q > 0.0)
+    support = []
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        vec = list(x_zero)
+        vec[i] = x_plus[i]
+        vec[j] = x_minus[j]
+        support.append(tuple(vec))
+    return JointDiscreteDistribution(support=tuple(support), prob=tuple(q[rows, cols].tolist()))
+
+
+def expected_range_by_loop(joint: JointDiscreteDistribution) -> float:
+    """E[max - min] summed atom by atom over the n-tuples."""
+    return math.fsum(p * (max(vec) - min(vec)) for vec, p in zip(joint.support, joint.prob))
+
+
+def check_moments_by_loop(
+    joint: JointDiscreteDistribution, spec: MomentSpec, tol: float = 1e-10
+) -> MomentCheckReport:
+    """The moment check as a Python loop over coordinates and n-tuples."""
+    mean_errors = []
+    var_errors = []
+    for i, (m, s) in enumerate(zip(spec.mu, spec.sigma)):
+        mean_i = math.fsum(p * vec[i] for vec, p in zip(joint.support, joint.prob))
+        var_i = math.fsum(
+            p * (vec[i] - mean_i) ** 2 for vec, p in zip(joint.support, joint.prob)
+        )
+        mean_errors.append(abs(mean_i - m))
+        var_errors.append(abs(var_i - s * s))
+    return MomentCheckReport(
+        mean_errors=tuple(mean_errors),
+        var_errors=tuple(var_errors),
+        expected_range=expected_range_by_loop(joint),
+        passed=max(max(mean_errors), max(var_errors)) <= tol,
+    )
+
+
+def extremal_tuples(spec: MomentSpec) -> tuple[ExtremalComponents, JointDiscreteDistribution]:
+    """``extremal_components`` of ``spec`` and its law rebuilt as n-tuples."""
+    parts = extremal_components(spec)
+    joint = joint_by_tuples(
+        [d.x_zero for d in parts.marginals],
+        [d.x_plus for d in parts.marginals],
+        [d.x_minus for d in parts.marginals],
+        parts.coupling.q,
+    )
+    return parts, joint
+
+
+def extremal_stdout(spec: MomentSpec) -> str:
+    """What ``rangebounds extremal`` prints, by ``json.dumps(indent=2)`` of
+    the full payload with the law as n-tuples."""
+    parts, joint = extremal_tuples(spec)
+    payload = {
+        "mu": list(spec.mu),
+        "sigma": list(spec.sigma),
+        "rho": parts.report.rho,
+        "c": parts.report.optimum.c,
+        "lambda": parts.report.optimum.lam,
+        "joint": {"support": [list(vec) for vec in joint.support], "prob": list(joint.prob)},
+        "coupling": {"q": parts.coupling.q.tolist()},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def verify_stdout(
+    spec: MomentSpec, embedded: JointDiscreteDistribution | None, samples: int, seed: int = 0
+) -> str:
+    """What ``rangebounds verify`` prints, with every exact check done by
+    the loops above on the n-tuple law."""
+    parts, joint = extremal_tuples(spec)
+    rho = parts.report.rho
+
+    def agrees(law: JointDiscreteDistribution) -> tuple[MomentCheckReport, bool]:
+        check = check_moments_by_loop(law, spec)
+        ok = check.passed and abs(check.expected_range - rho) <= 1e-9 * (1.0 + rho)
+        return check, ok
+
+    check, rebuilt_ok = agrees(joint)
+    exact = expected_range_by_loop(joint)
+    estimate, std_error = mc_expected_range(joint, samples, seed=seed)
+    mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12
+    embedded_ok = None if embedded is None else agrees(embedded)[1]
+    payload = {
+        "rho": rho,
+        "expected_range": exact,
+        "moment_check": check.to_json_dict(),
+        "mc_estimate": estimate,
+        "mc_std_error": std_error,
+        "embedded_joint_pass": embedded_ok,
+        "pass": rebuilt_ok and mc_ok and embedded_ok is not False,
+    }
+    return json.dumps(payload, indent=2) + "\n"

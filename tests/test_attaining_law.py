@@ -1,0 +1,218 @@
+"""The structured attaining law, the heap greedy coupling and the vectorized
+checks, each against its n-tuple or linear-scan oracle."""
+
+import math
+
+import numpy as np
+import pytest
+from _oracles import (
+    check_moments_by_loop,
+    coupling_by_scan,
+    expected_range_by_loop,
+    extremal_tuples,
+    random_spec,
+    star_spec,
+)
+
+from rangebounds import (
+    AttainingJoint,
+    InfeasibleCouplingError,
+    JointDiscreteDistribution,
+    MomentSpec,
+    ProbabilityMatrix,
+    ValidationError,
+    ag_tightness,
+    check_moments,
+    expected_range,
+    extremal_components,
+    mc_expected_range,
+    perturb_coupling,
+    zero_trace_coupling,
+)
+from rangebounds.extremal import _check_coupling, _coupling_by_greedy
+from rangebounds.verify import _probe_joints
+
+
+def scaled(spec: MomentSpec, a: float, b: float) -> MomentSpec:
+    return MomentSpec(
+        mu=tuple(a * m + b for m in spec.mu), sigma=tuple(a * s for s in spec.sigma)
+    )
+
+
+def law_specs():
+    rng = np.random.default_rng(11)
+    specs = [MomentSpec(mu=(0.0, 1.0), sigma=(1.0, 2.0))]
+    specs += [random_spec(rng) for _ in range(12)]
+    specs += [random_spec(rng, n) for n in (20, 60)]
+    for a, b in ((1e-300, 0.0), (1e-3, 5e-2), (1e150, -3e151)):
+        specs.append(scaled(random_spec(rng), a, b))
+    specs.append(MomentSpec(mu=(0.5,) * 6, sigma=(1.0, 2.0, 0.5, 0.5, 1.5, 3.0)))
+    return specs
+
+
+class TestAttainingJoint:
+    @pytest.mark.parametrize("spec", law_specs())
+    def test_matches_the_tuple_law(self, spec):
+        parts, tuples = extremal_tuples(spec)
+        law = parts.joint
+        assert isinstance(law, AttainingJoint)
+        assert law.support == tuples.support
+        assert law.prob == tuples.prob
+        assert law.dim == tuples.dim
+        for mine, theirs in zip(law.arrays(), tuples.arrays()):
+            assert np.array_equal(mine, theirs)
+        ranges = [max(vec) - min(vec) for vec in tuples.support]
+        assert law.atom_ranges().tolist() == ranges
+        assert law.to_json_dict() == tuples.to_json_dict()
+
+    def test_pair_has_two_atoms_with_no_middle_coordinate(self):
+        law = extremal_components(MomentSpec(mu=(0.0, 3.0), sigma=(1.0, 1.0))).joint
+        assert len(law.support) == 2
+        assert law.atom_ranges().tolist() == [max(v) - min(v) for v in law.support]
+
+    def test_rejects_coinciding_atoms(self):
+        coupling = ProbabilityMatrix(q=[[0.0, 0.0, 0.25], [0.0, 0.0, 0.25], [0.25, 0.25, 0.0]])
+        points = {"x_zero": [0.0, 0.0, 0.0], "x_minus": [-1.0, -1.0, -1.0]}
+        # Cells (0, 2) and (1, 2) give (0, 0, -1) once x_plus meets x_zero
+        # at coordinates 0 and 1; at only one of them every atom differs.
+        AttainingJoint(x_plus=[0.0, 1.0, 1.0], coupling=coupling, **points)
+        with pytest.raises(ValidationError, match="duplicate"):
+            AttainingJoint(x_plus=[0.0, 0.0, 1.0], coupling=coupling, **points)
+
+    def test_rejects_points_of_the_wrong_length(self):
+        coupling = zero_trace_coupling([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="2 values"):
+            AttainingJoint(x_zero=[0.0], x_plus=[1.0, 1.0], x_minus=[-1.0, -1.0], coupling=coupling)
+
+    def test_ag_witness_is_structured(self):
+        spec = MomentSpec(mu=(-1.0, 0.0, 1.0), sigma=(1.0, math.sqrt(3.0), math.sqrt(2.0)))
+        tight, _, witness = ag_tightness(spec)
+        assert tight
+        assert isinstance(witness, AttainingJoint)
+        assert check_moments(witness, spec, tol=1e-12).passed
+        assert expected_range(witness) == pytest.approx(4.0, rel=1e-15)
+
+
+class TestVectorizedChecks:
+    @pytest.mark.parametrize("spec", law_specs())
+    def test_moment_check_is_bit_identical_to_the_loop(self, spec):
+        parts, tuples = extremal_tuples(spec)
+        expected = check_moments_by_loop(tuples, spec)
+        for law in (parts.joint, tuples):
+            assert check_moments(law, spec) == expected
+            assert expected_range(law) == expected_range_by_loop(tuples)
+
+    def test_probe_laws_are_bit_identical_to_the_loop(self):
+        rng = np.random.default_rng(5)
+        for trial in range(4):
+            spec = random_spec(rng)
+            for law in _probe_joints(spec, 5, seed=trial):
+                assert check_moments(law, spec) == check_moments_by_loop(law, spec)
+                assert expected_range(law) == expected_range_by_loop(law)
+
+    def test_monte_carlo_draws_the_same_atoms(self):
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            parts, tuples = extremal_tuples(random_spec(rng, 30))
+            assert mc_expected_range(parts.joint, 5_000, seed=4) == mc_expected_range(
+                tuples, 5_000, seed=4
+            )
+
+    def test_generic_law_still_checked(self):
+        joint = JointDiscreteDistribution(support=((0.0, 2.0), (2.0, 0.0)), prob=(0.5, 0.5))
+        report = check_moments(joint, MomentSpec(mu=(1.0, 1.0), sigma=(1.0, 1.0)))
+        assert report.passed and report.expected_range == 2.0
+
+
+def marginals(rng: np.random.Generator, n: int, kind: str) -> tuple[list[float], list[float]]:
+    """Feasible (p, q): random, with max(p + q) exactly 1, or within 1e-13
+    below 1 (possible from n = 3 on, as the n = 2 sums add up to 2)."""
+    while True:
+        if kind == "random" and n == 2:
+            t = float(rng.uniform(0.0, 1.0))
+            return [t, 1.0 - t], [1.0 - t, t]
+        if kind == "random":
+            alpha = float(rng.choice([0.05, 0.5, 1.0, 5.0]))
+            p = rng.dirichlet(np.full(n, alpha)).tolist()
+            q = rng.dirichlet(np.full(n, alpha)).tolist()
+            k = max(range(n), key=lambda i: p[i] + q[i])
+        else:
+            k = int(rng.integers(n))
+            t = float(rng.uniform(0.5, 1.0))
+            gap = 0.0 if kind == "tight" else 10.0 ** float(rng.uniform(-15.0, -13.0))
+            p = (rng.dirichlet(np.ones(n - 1)) * (1.0 - t)).tolist()
+            q = (rng.dirichlet(np.ones(n - 1)) * (t + gap)).tolist()
+            p.insert(k, t)
+            q.insert(k, (1.0 - t) - gap)
+        sums = [a + b for a, b in zip(p, q)]
+        if max(sums) == sums[k] <= 1.0:
+            return p, q
+
+
+SIZES = (2, 3, 4, 5, 6, 8, 13, 21, 50, 137, 300, 500)
+
+
+class TestGreedyCoupling:
+    @pytest.mark.parametrize("kind", ["random", "tight", "near"])
+    def test_random_feasible_marginals_pass_the_check(self, kind):
+        rng = np.random.default_rng({"random": 1, "tight": 2, "near": 3}[kind])
+        for n in SIZES if kind != "near" else SIZES[1:]:
+            for _ in range(12 if n < 100 else 3):
+                p, q = marginals(rng, n, kind)
+                worst = max(a + b for a, b in zip(p, q))
+                if kind == "tight":
+                    assert worst == 1.0
+                elif kind == "near":
+                    assert 1.0 - 1e-13 <= worst < 1.0
+                matrix = zero_trace_coupling(p, q)
+                assert _check_coupling(matrix.q, p, q, tol=1e-12)
+
+    def test_marginals_that_disagree_raise(self):
+        # Within the 1e-8 normalisation slack each vector is accepted, but
+        # no matrix has both marginals to 1e-12 when their totals differ.
+        p = [0.3, 0.3, 0.4 + 1e-10]
+        q = [0.4, 0.3, 0.3]
+        with pytest.raises(InfeasibleCouplingError, match="marginal check"):
+            zero_trace_coupling(p, q)
+
+    def test_heaps_take_the_steps_of_the_linear_scans(self):
+        rng = np.random.default_rng(4)
+        for n in SIZES[1:10]:
+            for kind in ("random", "tight", "near"):
+                for _ in range(6):
+                    p, q = marginals(rng, n, kind)
+                    assert np.array_equal(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
+
+    def test_ties_go_to_the_lowest_index(self):
+        rng = np.random.default_rng(6)
+        for n in (3, 5, 8, 16):
+            for _ in range(40):
+                p = rng.integers(0, 4, size=n).astype(float)
+                q = rng.integers(0, 4, size=n).astype(float)
+                if p.sum() == 0.0 or q.sum() == 0.0:
+                    continue
+                p, q = (p / p.sum()).tolist(), (q / q.sum()).tolist()
+                if max(a + b for a, b in zip(p, q)) > 1.0:
+                    continue
+                assert np.array_equal(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
+
+
+STARS = [
+    (seed, n, a, b)
+    for seed in range(6)
+    for n in (100, 200, 600)
+    for a, b in ((1.0, 0.0), (1e-2, 3.0), (7.0, -20.0))
+]
+
+
+@pytest.mark.parametrize("seed,n,a,b", STARS)
+def test_star_coupling_is_forced(seed, n, a, b):
+    """Tail masses summing to 1 + O(n eps) leave no residue cell."""
+    spec = star_spec(seed, n, a, b)
+    coupling = extremal_components(spec).coupling
+    assert np.count_nonzero(coupling.q) == 2 * (n - 1)
+    assert perturb_coupling(coupling) is None
+    tight, unique, witness = ag_tightness(spec)
+    assert tight and unique is True
+    assert np.array_equal(coupling.q > 0.0, witness.coupling.q > 0.0)
+    assert np.max(np.abs(coupling.q - witness.coupling.q)) <= 1e-12

@@ -1,10 +1,14 @@
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
+from _oracles import extremal_stdout, star_spec, verify_stdout
 
-from rangebounds import ConvergenceError, ValidationError
+from rangebounds import ConvergenceError, JointDiscreteDistribution, MomentSpec, ValidationError
 from rangebounds.cli import CliConfig, main, run
 
 TRIPLE = '{"mu":[-1,0,1],"sigma":[1,1.7320508,1.4142136]}'
@@ -207,3 +211,74 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "bound", "--input", TRIPLE)
         assert code == 2
         assert "converge" in err
+
+
+def _general(n: int, a: float, b: float) -> MomentSpec:
+    rng = np.random.default_rng(n)
+    mu = rng.uniform(-1.0, 1.0, size=n)
+    sigma = rng.uniform(0.2, 1.5, size=n)
+    return MomentSpec(mu=tuple((a * mu + b).tolist()), sigma=tuple((a * sigma).tolist()))
+
+
+GOLDEN = {
+    "pair": MomentSpec(mu=(0.0, 1.5), sigma=(1.0, 0.5)),
+    "ag-tight-triple": MomentSpec(mu=(-1.0, 0.0, 1.0), sigma=(1.0, math.sqrt(3.0), math.sqrt(2.0))),
+    "asymmetric-triple": MomentSpec(mu=(-2.0, 0.0, 2.0), sigma=(1.0, 3.0, 1.0)),
+    "equal-means": MomentSpec(mu=(0.5,) * 5, sigma=(1.0, 2.0, 0.5, 0.7, 1.5)),
+    "star-8": star_spec(8, 8),
+    "general-50-offset": _general(50, 0.3, 30.0),
+    "scale-1e-300": _general(7, 1e-300, 0.0),
+    "scale-1e300": _general(7, 1e300, 0.0),
+}
+
+
+class TestGoldenOutput:
+    """Byte identity with ``json.dumps(indent=2)`` of the n-tuple law."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_extremal_stdout(self, capsys, name):
+        spec = GOLDEN[name]
+        code, out, _ = run_cli(capsys, "extremal", "--input", json.dumps(spec.to_json_dict()))
+        assert code == 0
+        assert out == extremal_stdout(spec)
+
+    # At 1e300 the variances overflow, which the scalar loop's ** reports
+    # as OverflowError, so there is no oracle output to compare with.
+    @pytest.mark.parametrize("name", sorted(set(GOLDEN) - {"scale-1e300"}))
+    def test_verify_stdout(self, capsys, name):
+        spec = GOLDEN[name]
+        text = json.dumps(spec.to_json_dict())
+        _, out, _ = run_cli(capsys, "verify", "--input", text, "--samples", "2000")
+        assert out == verify_stdout(spec, None, 2000)
+        _, document, _ = run_cli(capsys, "extremal", "--input", text)
+        _, out, _ = run_cli(capsys, "verify", "--input", document, "--samples", "2000")
+        embedded = JointDiscreteDistribution.from_json_dict(json.loads(document)["joint"])
+        assert out == verify_stdout(spec, embedded, 2000)
+
+
+class TestReadme:
+    README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def test_bound_example_is_current(self, capsys):
+        section = self.README.split("### `bound`", 1)[1]
+        command = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+        expected = section.split("```json\n", 1)[1].split("```", 1)[0]
+        argv = shlex.split(command)
+        assert argv[0] == "rangebounds"
+        code, out, _ = run_cli(capsys, *argv[1:])
+        assert code == 0
+        assert out == expected
+
+    def test_coupling_rows_are_top_points(self, capsys):
+        spec = GOLDEN["ag-tight-triple"]
+        _, out, _ = run_cli(capsys, "extremal", "--input", json.dumps(spec.to_json_dict()))
+        data = json.loads(out)
+        q = np.array(data["coupling"]["q"])
+        assert q.sum(axis=1) == pytest.approx([0.0, 3.0 / 8.0, 5.0 / 8.0], abs=1e-9)
+        assert q.sum(axis=0) == pytest.approx([0.5, 3.0 / 8.0, 1.0 / 8.0], abs=1e-9)
+        cells = np.argwhere(q > 0.0).tolist()
+        atoms = data["joint"]["support"]
+        assert len(atoms) == len(cells)
+        for (i, j), atom in zip(cells, atoms):
+            assert int(np.argmax(atom)) == i
+            assert int(np.argmin(atom)) == j
