@@ -713,24 +713,21 @@ def ag_tightness(
     # In units of 2**e the squares cannot overflow, and (i) and (ii) are
     # homogeneous of degree 2, so the verdicts are those of the raw values.
     d, s, e = scaled_deviations(spec)
-    theta2 = [di * di + si * si for di, si in zip(d, s)]
-    s_total = math.fsum(theta2)
+    theta2 = d * d + s * s
+    s_total = math.fsum(theta2.tolist())
     ag_unit = math.sqrt(2.0 * s_total)
     slack = 1e-12 * s_total
-    cond_i = all(0.5 * abs(di) * ag_unit <= t2 + slack for di, t2 in zip(d, theta2))
-    cond_ii = all(t2 <= 0.5 * s_total + slack for t2 in theta2)
+    cond_i = bool(np.all(0.5 * np.abs(d) * ag_unit <= theta2 + slack))
+    cond_ii = bool(np.all(theta2 <= 0.5 * s_total + slack))
     if not (cond_i and cond_ii):
         return False, None, None
     ag = math.ldexp(ag_unit, e)
     # (mu_bar, AG/4) is then the dual optimum, with every coordinate in I2
     # or on its boundary, and the table there gives the tail masses.
     table = mass_table(mu, sigma, mb, 0.25 * ag)
-    p_plus = table.p[2].tolist()
-    p_minus = table.p[0].tolist()
-    unique: bool | None = (
-        True if max(pp + pm for pp, pm in zip(p_plus, p_minus)) >= 1.0 - 1e-12 else None
-    )
-    coupling = zero_trace_coupling(p_plus, p_minus)
+    tails = table.p[2] + table.p[0]
+    unique: bool | None = True if float(tails.max()) >= 1.0 - 1e-12 else None
+    coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
     half = 0.5 * ag
     n = spec.n
     joint = AttainingJoint(

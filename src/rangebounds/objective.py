@@ -165,16 +165,14 @@ class RegionPartition:
     i4: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        groups = (self.i1, self.i2, self.i3, self.i4)
-        coerced = tuple(tuple(int(i) for i in g) for g in groups)
-        all_indices = [i for g in coerced for i in g]
-        n = len(all_indices)
-        if len(set(all_indices)) != n or set(all_indices) != set(range(n)):
+        groups = [np.fromiter(g, dtype=np.int64) for g in (self.i1, self.i2, self.i3, self.i4)]
+        indices = np.sort(np.concatenate(groups))
+        if not np.array_equal(indices, np.arange(indices.size)):
             raise ValidationError(
                 "region sets must be disjoint and cover 0..n-1 exactly"
             )
-        for name, g in zip(("i1", "i2", "i3", "i4"), coerced):
-            object.__setattr__(self, name, g)
+        for name, g in zip(("i1", "i2", "i3", "i4"), groups):
+            object.__setattr__(self, name, tuple(g.tolist()))
 
     @property
     def n(self) -> int:
@@ -259,8 +257,9 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
 
     Boundary ties within ``BOUNDARY_REL_TOL`` go to I1 first, then to
     I3/I4; the masses are continuous across every boundary, so a tie moves
-    only the bookkeeping.  Every branch is finite wherever sigma > 0, so
-    ``np.choose`` discards values without warnings.
+    only the bookkeeping.  The three region masks are formed once and every
+    output selects its branch with ``np.where``; every branch is finite
+    wherever sigma > 0, so the discarded values raise no warnings.
     """
     x = (np.asarray(mu, dtype=float) - c) / lam
     y = np.asarray(sigma, dtype=float) / lam
@@ -272,11 +271,10 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
     m_two = (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
     ratio = 2.0 * (ax / r) / r
     m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
-    region = np.where(
-        m_two >= -BOUNDARY_REL_TOL,
-        0,
-        np.where(m_one <= BOUNDARY_REL_TOL, np.where(x > 0.0, 2, 3), 1),
-    )
+    two = m_two >= -BOUNDARY_REL_TOL
+    one = ~two & (m_one <= BOUNDARY_REL_TOL)
+    right = x > 0.0
+    region = np.where(two, 0, np.where(one, np.where(right, 2, 3), 1))
 
     g = x / r
     k1 = (y / r) ** 2 / r
@@ -287,18 +285,21 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
     near = 0.5 * (1.0 - h)
     k3 = 0.5 * (y / t) ** 2 / t
 
-    p = np.stack(
+    def pick(i1, i2, i34):
+        return np.where(two, i1, np.where(one, i34, i2))
+
+    p = np.array(
         (
-            np.choose(region, (0.5 * (1.0 - g), 0.125 * (r2 - 2.0 * x), 0.0, far)),
-            np.choose(region, (0.0, 1.0 - 0.25 * r2, near, near)),
-            np.choose(region, (0.5 * (1.0 + g), 0.125 * (r2 + 2.0 * x), far, 0.0)),
+            pick(0.5 * (1.0 - g), 0.125 * (r2 - 2.0 * x), np.where(right, 0.0, far)),
+            pick(0.0, 1.0 - 0.25 * r2, near),
+            pick(0.5 * (1.0 + g), 0.125 * (r2 + 2.0 * x), np.where(right, far, 0.0)),
         )
     )
-    z = np.stack(
+    z = np.array(
         (
-            np.choose(region, (-r, -2.0, -2.0, -1.0 - t)),
-            np.choose(region, (0.0, 0.0, 1.0 - t, t - 1.0)),
-            np.choose(region, (r, 2.0, 1.0 + t, 2.0)),
+            pick(-r, -2.0, np.where(right, -2.0, -1.0 - t)),
+            pick(0.0, 0.0, np.where(right, 1.0 - t, t - 1.0)),
+            pick(r, 2.0, np.where(right, 1.0 + t, 2.0)),
         )
     )
     return MassTable(
@@ -308,9 +309,9 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
         z=z,
         p=p,
         margin=np.minimum(np.abs(m_two), np.abs(m_one)),
-        dp0_dlam=np.choose(region, (0.0, 0.5 * r2, k3, k3)) / lam,
-        dgap_dc=np.choose(region, (k1, 0.5, k3, k3)) / lam,
-        dp0_dc=np.choose(region, (0.0, 0.5 * x, k3, -k3)) / lam,
+        dp0_dlam=pick(0.0, 0.5 * r2, k3) / lam,
+        dgap_dc=pick(k1, 0.5, k3) / lam,
+        dp0_dc=pick(0.0, 0.5 * x, np.where(right, k3, -k3)) / lam,
     )
 
 

@@ -11,14 +11,21 @@ Newton step while it stays inside a certified bracket and bisects otherwise:
 
 * inner root: for fixed c, the lambda with sum_i p_i^0 = n - 2, bracketed
   between the second-largest t_i and sum_i t_i, with
-  t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2, and warm-started from the
-  previous root;
+  t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2.  The first one starts at its
+  closed form for coordinates in I1 and I2 only, lambda**2 =
+  min(sum_i t_i**2 / 2, sum_i t_i**2 - max t_i**2), exact for equal means;
+  every later one on the tangent lambda + (d lambda/dc)(c - c_prev), with
+  d lambda/dc = -phi_c,lambda / phi_lambda,lambda from the previous table,
+  which is the lambda component of the 2-D Newton step on grad phi = 0;
 * outer root: g(c) = min over lambda of phi_n(c, lambda) is convex with its
   minimum inside [min mu_i, max mu_i]; its slope is d phi/dc at the inner
   root and its curvature phi_cc - phi_c,lambda**2 / phi_lambda,lambda, by
   implicit differentiation.
 
-Both roots stop at relative float resolution.  n = 2 is special (the
+Both roots stop at float resolution: lambda relative to itself, c relative
+to the largest |mu_i|, and either one as soon as a Newton step leaves its
+function unchanged.  A start is only a first guess: the bracket is kept, so
+a poor one costs a bisection, never a wrong root.  n = 2 is special (the
 minimizing set is a segment touching lambda = 0) and is served by a closed
 form.
 
@@ -101,7 +108,7 @@ class BoundReport:
         }
 
 
-def scaled_deviations(spec: MomentSpec) -> tuple[list[float], list[float], int]:
+def scaled_deviations(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, int]:
     """(mu_i - mu_bar) / 2**e, sigma_i / 2**e, and e.
 
     2**e is the power of two just above the largest of these magnitudes, so
@@ -110,16 +117,25 @@ def scaled_deviations(spec: MomentSpec) -> tuple[list[float], list[float], int]:
     from the scaled values, times 2**(k e), is bit-identical to the same
     computation on the raw values wherever that one does not overflow.
     """
-    mb = spec.mu_bar
-    dev = [m - mb for m in spec.mu]
-    e = math.frexp(max(max(map(abs, dev)), max(spec.sigma)))[1]
-    return [math.ldexp(v, -e) for v in dev], [math.ldexp(s, -e) for s in spec.sigma], e
+    mu, sigma = spec.arrays()
+    dev = mu - spec.mu_bar
+    e = math.frexp(max(float(np.abs(dev).max()), float(sigma.max())))[1]
+    return np.ldexp(dev, -e), np.ldexp(sigma, -e), e
+
+
+def _dispersion(spec: MomentSpec) -> tuple[float, int]:
+    """S / 4**e and e, S = sum_i [(mu_i - mu_bar)**2 + sigma_i**2].
+
+    ``np.float_power`` squares with the C library's ``pow``, as Python's
+    ``**`` does, so the sum is bit-identical to a scalar loop of ``d**2``.
+    """
+    dev, sig, e = scaled_deviations(spec)
+    return math.fsum((np.float_power(dev, 2.0) + sig * sig).tolist()), e
 
 
 def ag_bound(spec: MomentSpec) -> float:
     """Closed-form upper bound sqrt(2 * sum_i [(mu_i - mu_bar)**2 + sigma_i**2])."""
-    dev, sig, e = scaled_deviations(spec)
-    total = math.fsum(d**2 + s * s for d, s in zip(dev, sig))
+    total, e = _dispersion(spec)
     return math.ldexp(math.sqrt(2.0 * total), e)
 
 
@@ -130,16 +146,15 @@ def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
     sqrt(sum [(mu_i - mu_bar)**2 + sigma_i**2]).  With coefficients
     (-1, 0, ..., 0, 1) this is exactly :func:`ag_bound`.
     """
-    cs = [float(v) for v in coeffs]
-    if len(cs) != spec.n:
+    cs = np.fromiter(coeffs, dtype=float)
+    if cs.size != spec.n:
         raise ValidationError(
-            f"need {spec.n} coefficients, got {len(cs)}"
+            f"need {spec.n} coefficients, got {cs.size}"
         )
-    cbar = math.fsum(cs) / len(cs)
-    spread = math.fsum((v - cbar) ** 2 for v in cs)
-    dev, sig, e = scaled_deviations(spec)
-    total = math.fsum(d**2 + s * s for d, s in zip(dev, sig))
-    return spec.mu_bar * math.fsum(cs) + math.ldexp(math.sqrt(spread) * math.sqrt(total), e)
+    c_sum = math.fsum(cs.tolist())
+    spread = math.fsum(np.float_power(cs - c_sum / cs.size, 2.0).tolist())
+    total, e = _dispersion(spec)
+    return spec.mu_bar * c_sum + math.ldexp(math.sqrt(spread) * math.sqrt(total), e)
 
 
 def plackett_iid_bound(n: int, sigma: float) -> float:
@@ -159,6 +174,7 @@ def _newton_bisect(
     lo: float,
     hi: float,
     x0: float | None = None,
+    floor: float | None = None,
 ) -> tuple[float, int]:
     """Root of a nondecreasing f known to lie in [lo, hi], to float resolution.
 
@@ -167,23 +183,29 @@ def _newton_bisect(
     it lands strictly inside the bracket and is at most half the step before
     last, and the bracket's midpoint otherwise (rtsafe, Press et al.,
     Numerical Recipes).  The search starts at ``x0`` when it lies inside
-    the bracket, and stops once a step, Newton or bisection, is below
-    relative float resolution (or 2**-60 of the initial width, for a root
-    at 0) or no longer moves the point.  Returns the last evaluated point, so that a caller's record of
-    its final evaluation belongs to the root, and the number of evaluations.
+    the bracket.  It stops once a step, Newton or bisection, is below
+    relative float resolution or ``floor`` (default 2**-60 of the initial
+    width, for a root at 0), or no longer moves the point, or once a Newton
+    step leaves f unchanged: f is then at the rounding level of its own
+    evaluation, and further Newton steps of that size fail the halving test
+    and fall back to bisecting the whole bracket.  Returns the last
+    evaluated point, so that a caller's record of its final evaluation
+    belongs to the root, and the number of evaluations.
     """
-    floor = (hi - lo) * 2.0**-60
+    if floor is None:
+        floor = (hi - lo) * 2.0**-60
 
     def resolution(x: float) -> float:
         return max(_EPS * abs(x), floor)
 
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     step = before = hi - lo
+    newton, last = False, None
     evaluations = 0
     while True:
         f, df = fdf(x)
         evaluations += 1
-        if f == 0.0:
+        if f == 0.0 or (newton and f == last):
             break
         if f < 0.0:
             lo = x
@@ -193,7 +215,7 @@ def _newton_bisect(
             abs(f) <= resolution(x) * df
             or (lo < x - f / df < hi and abs(f) <= 0.5 * abs(before) * df)
         )
-        before, step = step, (f / df if newton else 0.5 * (hi - lo))
+        before, step, last = step, (f / df if newton else 0.5 * (hi - lo)), f
         nxt = x - step if newton else lo + step
         if abs(step) <= resolution(x) or nxt == x:
             break
@@ -342,9 +364,22 @@ def _inner_table(
     1, while at the right end Markov's inequality, P(|X_i - c| >= lambda)
     <= E|X_i - c| / lambda <= 2 t_i / lambda, leaves at most 2 of the n
     units of mass outside the middle.
+
+    The search starts at ``lam0``, or without one at the root when no
+    coordinate is in I3 or I4.  In I2, p_i^0 = 1 - t_i**2/lambda**2, and in
+    I1, p_i^0 = 0, which holds for the largest t_i alone when lambda is
+    between the two largest: the root is then lambda**2 = sum_i t_i**2 / 2
+    with every coordinate in I2, or sum_i t_i**2 - max t_i**2 with the
+    largest in I1, whichever is smaller.  That is exact when all means are
+    equal.  The sums are taken in units of max t, which keeps them finite
+    at every scale.
     """
     n = mu.size
     t = 0.5 * np.hypot(mu - c, sigma)
+    if lam0 is None:
+        top = float(t.max())
+        total = float(np.sum((t / top) ** 2))
+        lam0 = top * math.sqrt(min(0.5 * total, total - 1.0))
     table = None
 
     def fdf(lam: float) -> tuple[float, float]:
@@ -378,15 +413,29 @@ def minimize_phi(
     mu, sigma = spec.arrays()
     lo, hi = float(mu.min()), float(mu.max())
     table = None
+    lam_slope = 0.0
 
     def slope(c: float) -> tuple[float, float]:
-        """g'(c) = d phi/dc at the inner root, and g''(c) by implicit differentiation."""
-        nonlocal table
-        table = _inner_table(mu, sigma, c, table.lam if table is not None else None)
+        """g'(c) = d phi/dc at the inner root, and g''(c) by implicit differentiation.
+
+        The inner root starts on the tangent of c -> lambda*(c) at the last
+        table, d lambda*/dc = -phi_c,lambda / phi_lambda,lambda: the lambda
+        component of the 2-D Newton step on grad phi = 0.
+        """
+        nonlocal table, lam_slope
+        start = None if table is None else table.lam + lam_slope * (c - table.c)
+        table = _inner_table(mu, sigma, c, start)
         phi_cc = float(table.dgap_dc.sum())
         phi_cl = float(table.dp0_dc.sum())
         phi_ll = float(table.dp0_dlam.sum())
-        curvature = phi_cc - phi_cl * phi_cl / phi_ll if phi_ll > 0.0 else 0.0
+        # phi_cl**2 / phi_ll is formed as phi_cl * (phi_cl / phi_ll): the
+        # square overflows at small scales, where every sum is of order
+        # 1/scale.
+        if phi_ll > 0.0:
+            lam_slope = -(phi_cl / phi_ll)
+            curvature = phi_cc + phi_cl * lam_slope
+        else:
+            lam_slope = curvature = 0.0
         return table.gradient()[0], curvature
 
     # The slope is negative at min mu and positive at max mu unless all
@@ -394,7 +443,9 @@ def minimize_phi(
     if lo == hi:
         table, iterations = _inner_table(mu, sigma, lo, None), 0
     else:
-        _, iterations = _newton_bisect(slope, lo, hi, c_start)
+        # c is resolved to the float resolution of the means, not of c
+        # itself, which near 0 is finer than any mu_i - c can carry.
+        _, iterations = _newton_bisect(slope, lo, hi, c_start, _EPS * max(abs(lo), abs(hi)))
     method = "general-solver"
     if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"

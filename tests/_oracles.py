@@ -6,7 +6,9 @@ functions, so agreement is evidence rather than tautology.  The attaining
 law's plain forms live here too: the law as explicit n-tuples, the moment
 check and expected range as loops over them, the greedy coupling with
 linear scans, and the ``extremal``/``verify`` output as ``json.dumps`` of
-the full payload.
+the full payload.  So do the earlier forms of two hot paths, kept for
+bit-for-bit comparison: the mass-table kernel that selected its branches
+with ``np.choose``, and the closed-form bounds as scalar loops.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from rangebounds import (
+    AttainingJoint,
     DualPoint,
     ExtremalComponents,
     JointDiscreteDistribution,
@@ -26,7 +29,9 @@ from rangebounds import (
     extremal_components,
     mc_expected_range,
     phi,
+    zero_trace_coupling,
 )
+from rangebounds.objective import BOUNDARY_REL_TOL, MassTable
 
 
 def random_spec(rng: np.random.Generator, n: int | None = None) -> MomentSpec:
@@ -322,3 +327,101 @@ def verify_stdout(
         "pass": rebuilt_ok and mc_ok and embedded_ok is not False,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def mass_table_by_choose(mu, sigma, c: float, lam: float) -> MassTable:
+    """The mass table with each output chosen by region code via ``np.choose``."""
+    x = (np.asarray(mu, dtype=float) - c) / lam
+    y = np.asarray(sigma, dtype=float) / lam
+    ax = np.abs(x)
+    r = np.hypot(x, y)
+    m_two = (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
+    ratio = 2.0 * (ax / r) / r
+    m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
+    region = np.where(
+        m_two >= -BOUNDARY_REL_TOL,
+        0,
+        np.where(m_one <= BOUNDARY_REL_TOL, np.where(x > 0.0, 2, 3), 1),
+    )
+    g = x / r
+    k1 = (y / r) ** 2 / r
+    r2 = np.minimum(r, 2.0) ** 2
+    t = np.hypot(ax - 1.0, y)
+    h = (ax - 1.0) / t
+    far = 0.5 * (1.0 + h)
+    near = 0.5 * (1.0 - h)
+    k3 = 0.5 * (y / t) ** 2 / t
+    p = np.stack(
+        (
+            np.choose(region, (0.5 * (1.0 - g), 0.125 * (r2 - 2.0 * x), 0.0, far)),
+            np.choose(region, (0.0, 1.0 - 0.25 * r2, near, near)),
+            np.choose(region, (0.5 * (1.0 + g), 0.125 * (r2 + 2.0 * x), far, 0.0)),
+        )
+    )
+    z = np.stack(
+        (
+            np.choose(region, (-r, -2.0, -2.0, -1.0 - t)),
+            np.choose(region, (0.0, 0.0, 1.0 - t, t - 1.0)),
+            np.choose(region, (r, 2.0, 1.0 + t, 2.0)),
+        )
+    )
+    return MassTable(
+        c=float(c),
+        lam=float(lam),
+        region=region,
+        z=z,
+        p=p,
+        margin=np.minimum(np.abs(m_two), np.abs(m_one)),
+        dp0_dlam=np.choose(region, (0.0, 0.5 * r2, k3, k3)) / lam,
+        dgap_dc=np.choose(region, (k1, 0.5, k3, k3)) / lam,
+        dp0_dc=np.choose(region, (0.0, 0.5 * x, k3, -k3)) / lam,
+    )
+
+
+def _scaled_deviations_by_loop(spec: MomentSpec) -> tuple[list[float], list[float], int]:
+    mb = spec.mu_bar
+    dev = [m - mb for m in spec.mu]
+    e = math.frexp(max(max(map(abs, dev)), max(spec.sigma)))[1]
+    return [math.ldexp(v, -e) for v in dev], [math.ldexp(s, -e) for s in spec.sigma], e
+
+
+def ag_bound_by_loop(spec: MomentSpec) -> float:
+    dev, sig, e = _scaled_deviations_by_loop(spec)
+    total = math.fsum(d**2 + s * s for d, s in zip(dev, sig))
+    return math.ldexp(math.sqrt(2.0 * total), e)
+
+
+def ag_general_bound_by_loop(spec: MomentSpec, coeffs) -> float:
+    cs = [float(v) for v in coeffs]
+    cbar = math.fsum(cs) / len(cs)
+    spread = math.fsum((v - cbar) ** 2 for v in cs)
+    dev, sig, e = _scaled_deviations_by_loop(spec)
+    total = math.fsum(d**2 + s * s for d, s in zip(dev, sig))
+    return spec.mu_bar * math.fsum(cs) + math.ldexp(math.sqrt(spread) * math.sqrt(total), e)
+
+
+def ag_tightness_by_loop(spec: MomentSpec) -> tuple[bool, bool | None, AttainingJoint | None]:
+    """``ag_tightness`` with its conditions checked coordinate by coordinate
+    and its tail masses from :func:`mass_table_by_choose`."""
+    mb = spec.mu_bar
+    d, s, e = _scaled_deviations_by_loop(spec)
+    theta2 = [di * di + si * si for di, si in zip(d, s)]
+    s_total = math.fsum(theta2)
+    ag_unit = math.sqrt(2.0 * s_total)
+    slack = 1e-12 * s_total
+    cond_i = all(0.5 * abs(di) * ag_unit <= t2 + slack for di, t2 in zip(d, theta2))
+    cond_ii = all(t2 <= 0.5 * s_total + slack for t2 in theta2)
+    if not (cond_i and cond_ii):
+        return False, None, None
+    ag = math.ldexp(ag_unit, e)
+    table = mass_table_by_choose(spec.mu, spec.sigma, mb, 0.25 * ag)
+    p_plus = table.p[2].tolist()
+    p_minus = table.p[0].tolist()
+    unique = True if max(pp + pm for pp, pm in zip(p_plus, p_minus)) >= 1.0 - 1e-12 else None
+    half = 0.5 * ag
+    n = spec.n
+    joint = AttainingJoint(
+        x_zero=np.full(n, mb), x_plus=np.full(n, mb + half), x_minus=np.full(n, mb - half),
+        coupling=zero_trace_coupling(p_plus, p_minus),
+    )
+    return True, unique, joint

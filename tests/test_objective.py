@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import fd_gradient, random_spec, u_by_linprog
+from _oracles import fd_gradient, mass_table_by_choose, random_spec, u_by_linprog
 from rangebounds import (
     DualPoint,
     MomentSpec,
@@ -345,3 +345,33 @@ class TestMassTable:
                 np.testing.assert_allclose(
                     table.dp0_dc, (p_c[0][1] - p_c[1][1]) / (2 * h), rtol=0, atol=1e-6
                 )
+
+
+class TestMassTableAgainstChoose:
+    """The kernel selects its branches with ``np.where`` on three masks; every
+    array must equal, bit for bit, the table chosen by region code."""
+
+    FIELDS = ("region", "z", "p", "margin", "dp0_dlam", "dgap_dc", "dp0_dc")
+
+    def assert_same(self, spec, c, lam):
+        new = mass_table(spec.mu, spec.sigma, c, lam)
+        old = mass_table_by_choose(spec.mu, spec.sigma, c, lam)
+        assert (new.c, new.lam) == (old.c, old.lam)
+        for name in self.FIELDS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    def test_every_region_and_tie(self):
+        for spec, c, lam in TestMassTable().points():
+            self.assert_same(spec, c, lam)
+
+    def test_random_specs_at_every_scale(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            a = 10.0 ** rng.uniform(-300.0, 300.0)
+            unit = random_spec(rng, int(rng.integers(3, 40)))
+            spec = MomentSpec(mu=tuple(a * m for m in unit.mu), sigma=tuple(a * s for s in unit.sigma))
+            c = a * rng.uniform(-3.0, 3.0)
+            lam = a * 10.0 ** rng.uniform(-1.5, 1.5)
+            self.assert_same(spec, c, lam)

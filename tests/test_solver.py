@@ -1,9 +1,17 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
-from _oracles import phi_by_nelder_mead, random_spec
+from _oracles import (
+    ag_bound_by_loop,
+    ag_general_bound_by_loop,
+    ag_tightness_by_loop,
+    phi_by_nelder_mead,
+    random_spec,
+    star_spec,
+)
 from rangebounds import (
     DualPoint,
     MomentSpec,
@@ -22,6 +30,8 @@ from rangebounds import (
     rho2_closed,
     rho_bound,
 )
+from rangebounds import solver
+from rangebounds.objective import mass_table
 
 
 class TestAgBound:
@@ -316,3 +326,92 @@ class TestScale:
         assert oracle == pytest.approx(report.rho, rel=1e-12)
         reversed_spec = MomentSpec(mu=mu[::-1], sigma=sigma[::-1])
         assert rho_bound(reversed_spec).rho == pytest.approx(report.rho, rel=1e-12)
+
+
+class TestClosedFormsAgainstLoops:
+    """The vectorized closed-form bounds equal their scalar loops bit for bit."""
+
+    def specs(self):
+        rng = np.random.default_rng(72)
+        for k in range(300):
+            a = 10.0 ** rng.uniform(-300.0, 300.0)
+            b = a * rng.uniform(-5.0, 5.0)
+            n = int(rng.integers(2, 40))
+            if k % 3 == 0:
+                yield star_spec(k, n, a, b)
+                continue
+            sigma = rng.uniform(0.2, 2.5, n)
+            mu = rng.uniform(-3.0, 3.0, n) if k % 3 == 1 else np.full(n, rng.uniform(-3.0, 3.0))
+            yield MomentSpec(mu=tuple((a * mu + b).tolist()), sigma=tuple((a * sigma).tolist()))
+
+    def test_bounds_and_witnesses(self):
+        rng = np.random.default_rng(73)
+        tight = 0
+        for spec in self.specs():
+            assert ag_bound(spec) == ag_bound_by_loop(spec)
+            coeffs = rng.normal(size=spec.n).tolist()
+            assert ag_general_bound(spec, coeffs) == ag_general_bound_by_loop(spec, coeffs)
+            got, want = ag_tightness(spec), ag_tightness_by_loop(spec)
+            assert got[:2] == want[:2]
+            if want[2] is not None:
+                tight += 1
+                for name in ("x_zero", "x_plus", "x_minus"):
+                    assert getattr(got[2], name).tobytes() == getattr(want[2], name).tobytes()
+                assert got[2].coupling.q.tobytes() == want[2].coupling.q.tobytes()
+        assert tight >= 150
+
+    def test_squares_round_as_the_scalar_power(self):
+        # A 1-ulp difference in one square reaches the bound mostly when n
+        # is small; np.square rounds differently from ** on about 0.09% of
+        # values, and changes the bound on 9 of these specs.
+        rng = np.random.default_rng(75)
+        for _ in range(20000):
+            n = int(rng.integers(2, 4))
+            spec = MomentSpec(
+                mu=tuple(rng.uniform(-3.0, 3.0, n).tolist()),
+                sigma=tuple(rng.uniform(0.01, 0.5, n).tolist()),
+            )
+            assert ag_bound(spec) == ag_bound_by_loop(spec)
+
+
+class TestNewtonBisect:
+    def test_stops_when_a_newton_step_leaves_f_unchanged(self):
+        # f sits on its rounding floor within 1e-13 of the root: a start
+        # there must not bisect the whole bracket back down to the root.
+        root = 1.0 / 3.0
+
+        def fdf(x):
+            return math.copysign(1e-15, x - root), 1.0
+
+        x, evaluations = solver._newton_bisect(fdf, 0.0, 1.0, root - 1e-13)
+        assert abs(x - root) <= 1e-13
+        assert evaluations <= 3
+
+
+class TestEvaluationCount:
+    """Mass tables per ``rho_bound``: a cost that reads the same on any machine."""
+
+    @pytest.mark.parametrize("a", [1e-250, 1.0, 1e250])
+    @pytest.mark.parametrize("n", [3, 16, 50, 1000])
+    def test_median_tables_per_solve(self, monkeypatch, n, a):
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return mass_table(*args)
+
+        monkeypatch.setattr(solver, "mass_table", counting)
+        rng = np.random.default_rng([n, 74])
+        general, equal = [], []
+        for _ in range(25):
+            sigma = a * rng.uniform(0.2, 1.5, n)
+            for mu, counts in (
+                (rng.uniform(-1.0, 1.0, n), general),
+                (np.full(n, rng.uniform(-1.0, 1.0)), equal),
+            ):
+                calls = 0
+                rho_bound(MomentSpec(mu=tuple((a * mu).tolist()), sigma=tuple(sigma.tolist())))
+                counts.append(calls)
+        assert statistics.median(general) <= 20
+        assert statistics.median(equal) <= 3
