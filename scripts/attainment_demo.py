@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import math
-from dataclasses import dataclass
 
 from rangebounds import (
     MomentSpec,
@@ -26,22 +25,6 @@ from rangebounds import (
     mc_expected_range,
     perturb_coupling,
 )
-
-DEFAULT_MU = (-1.0, 0.0, 1.0)
-DEFAULT_SIGMA = (1.0, math.sqrt(3.0), math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class DemoConfig:
-    mu: tuple[float, ...] = DEFAULT_MU
-    sigma: tuple[float, ...] = DEFAULT_SIGMA
-    samples: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
-
 
 def show_marginals(parts) -> None:
     print("three-point marginals (support / mass / region):")
@@ -62,7 +45,7 @@ def show_joint(parts) -> None:
         print(f"  ({outcome})  p={p:.6f}  range={max(vec) - min(vec):.6f}")
 
 
-def run(config: DemoConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     spec = MomentSpec(mu=config.mu, sigma=config.sigma)
     parts = extremal_components(spec)
     report = parts.report
@@ -99,8 +82,7 @@ def run(config: DemoConfig) -> int:
     tight, unique, _ = ag_tightness(spec)
     print(f"dispersion bound tight: {tight}")
     if tight:
-        label = {True: "yes", False: "no", None: "not certified either way"}[unique]
-        print(f"coupling unique: {label}")
+        print(f"coupling unique: {'yes' if unique else 'no'}")
     rebalanced = perturb_coupling(parts.coupling)
     if rebalanced is None:
         print("the zero-trace coupling is the only one for these tail masses")
@@ -111,18 +93,16 @@ def run(config: DemoConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mu", type=float, nargs="+", default=list(DEFAULT_MU))
-    parser.add_argument("--sigma", type=float, nargs="+", default=list(DEFAULT_SIGMA))
+    parser.add_argument("--mu", type=float, nargs="+", default=[-1.0, 0.0, 1.0])
+    parser.add_argument(
+        "--sigma", type=float, nargs="+", default=[1.0, math.sqrt(3.0), math.sqrt(2.0)]
+    )
     parser.add_argument("--samples", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    config = DemoConfig(
-        mu=tuple(args.mu),
-        sigma=tuple(args.sigma),
-        samples=args.samples,
-        seed=args.seed,
-    )
-    return run(config)
+    if args.samples < 1:
+        parser.error("samples must be positive")
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +30,7 @@ from rangebounds import (
 FAMILIES = ("outlier-mean", "outlier-scale", "sample-size")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    family: str = "outlier-mean"
-    n: int = 4
-    points: int = 13
-    max_value: float = 6.0
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
-        if self.points < 2:
-            raise ValueError("need at least 2 sweep points")
-        if not self.max_value > 0.0:
-            raise ValueError("max_value must be positive")
-
-
-def family_specs(config: SweepConfig):
+def family_specs(config: argparse.Namespace):
     """Yield (parameter, spec) pairs for the configured family."""
     if config.family == "sample-size":
         for n in range(2, 2 + config.points):
@@ -67,7 +47,7 @@ def family_specs(config: SweepConfig):
         yield float(t), MomentSpec(mu=mu, sigma=sigma)
 
 
-def sweep_rows(config: SweepConfig) -> list[dict[str, float | None]]:
+def sweep_rows(config: argparse.Namespace) -> list[dict[str, float | None]]:
     rows: list[dict[str, float | None]] = []
     for t, spec in family_specs(config):
         report = rho_bound(spec)
@@ -118,17 +98,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-value", type=float, default=6.0)
     parser.add_argument("--output", help="write CSV here instead of printing")
     args = parser.parse_args(argv)
-    config = SweepConfig(
-        family=args.family,
-        n=args.n,
-        points=args.points,
-        max_value=args.max_value,
-        output=args.output,
-    )
-    rows = sweep_rows(config)
-    if config.output:
-        write_csv(rows, config.output)
-        print(f"wrote {len(rows)} rows to {config.output}")
+    if args.n < 2:
+        parser.error("n must be at least 2")
+    if args.points < 2:
+        parser.error("need at least 2 sweep points")
+    if not args.max_value > 0.0:
+        parser.error("max_value must be positive")
+    rows = sweep_rows(args)
+    if args.output:
+        write_csv(rows, args.output)
+        print(f"wrote {len(rows)} rows to {args.output}")
     else:
         print_table(rows)
     limit = 1.0 / math.sqrt(2.0)

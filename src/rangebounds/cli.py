@@ -31,12 +31,10 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .extremal import AttainingJoint, JointDiscreteDistribution, extremal_components
 from .objective import MomentSpec
-from .solver import bnt_max_bound, plackett_iid_bound, rho_bound
+from .solver import DEFAULT_TOL, bnt_max_bound, plackett_iid_bound, rho_bound
 from .verify import MomentCheckReport, check_moments, mc_expected_range
 
 __all__ = ["CliConfig", "run", "main"]
-
-_COMMANDS = ("bound", "extremal", "verify", "compare", "paper-examples")
 
 
 @dataclass(frozen=True)
@@ -50,7 +48,7 @@ class CliConfig:
 
     command: str
     input_source: str | None = None
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     seed: int = 0
     samples: int = 1_000_000
     format: str = "json"
@@ -87,12 +85,6 @@ def _read_input(source: str | None) -> dict:
     return data
 
 
-def _emit_json(payload: dict) -> None:
-    # json.dumps uses repr for floats: shortest round-trip, at most 17
-    # significant digits, so identical inputs give byte-identical output.
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
 def _scalar_rows(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
     rows: list[tuple[str, object]] = []
     for key, value in payload.items():
@@ -123,7 +115,9 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "csv":
         _emit_csv(payload)
     else:
-        _emit_json(payload)
+        # json.dumps uses repr for floats: shortest round-trip, at most 17
+        # significant digits, so identical inputs give byte-identical output.
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _spec_from_data(data: dict) -> MomentSpec:
@@ -415,28 +409,26 @@ def _run_paper_examples(config: CliConfig) -> int:
     rows = _case_rows()
     all_pass = all(r["pass"] for r in rows)
     if config.format == "csv":
-        lines = ["name,value"]
-        for r in rows:
-            lines.append(f"{r['case']}.{r['quantity']},{r['value']!r}")
-        lines.append(f"pass,{'true' if all_pass else 'false'}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        payload = {f"{r['case']}.{r['quantity']}": r["value"] for r in rows}
     else:
-        _emit_json({"cases": rows, "pass": all_pass})
+        payload = {"cases": rows}
+    _emit({**payload, "pass": all_pass}, config.format)
     return 0 if all_pass else 1
 
 
-_RUNNERS = {
-    "bound": _run_bound,
-    "extremal": _run_extremal,
-    "verify": _run_verify,
-    "compare": _run_compare,
-    "paper-examples": _run_paper_examples,
+#: Every command, in the order of ``--help``: its runner and its help line.
+_COMMANDS = {
+    "bound": (_run_bound, "compute the tight expected-range bound for a moment spec"),
+    "extremal": (_run_extremal, "construct the attaining joint distribution"),
+    "verify": (_run_verify, "rebuild and numerically check the attaining joint"),
+    "compare": (_run_compare, "tabulate the tight bound against comparison bounds"),
+    "paper-examples": (_run_paper_examples, "rerun the built-in worked examples against targets"),
 }
 
 
 def run(config: CliConfig) -> int:
     """Execute one configured invocation; returns the process exit code."""
-    return _RUNNERS[config.command](config)
+    return _COMMANDS[config.command][0](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -454,43 +446,28 @@ def _build_parser() -> _Parser:
         description="Tight bounds on the expected range of dependent random variables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "bound": "compute the tight expected-range bound for a moment spec",
-        "extremal": "construct the attaining joint distribution",
-        "verify": "rebuild and numerically check the attaining joint",
-        "compare": "tabulate the tight bound against comparison bounds",
-        "paper-examples": "rerun the built-in worked examples against targets",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument(
             "--input",
             default=None,
             help="spec as a file path, '-' for stdin, or an inline JSON object",
         )
-        p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-        p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
+        p.add_argument("--seed", type=int, default=CliConfig.seed, help="Monte Carlo seed")
         p.add_argument(
-            "--samples", type=int, default=1_000_000, help="Monte Carlo sample count"
+            "--samples", type=int, default=CliConfig.samples, help="Monte Carlo sample count"
         )
         p.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="output format"
+            "--format", choices=("json", "csv"), default=CliConfig.format, help="output format"
         )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
     try:
-        config = CliConfig(
-            command=args.command,
-            input_source=args.input,
-            tol=args.tol,
-            seed=args.seed,
-            samples=args.samples,
-            format=args.format,
-        )
-        return run(config)
+        return run(CliConfig(input_source=args.pop("input"), **args))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

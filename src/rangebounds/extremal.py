@@ -30,7 +30,14 @@ import numpy as np
 
 from .errors import InfeasibleCouplingError, ValidationError
 from .objective import REGION_NAMES, DualPoint, MassTable, MomentSpec, mass_table
-from .solver import BoundReport, bnt_max_bound, gamma2_bound, rho_bound, scaled_deviations
+from .solver import (
+    DEFAULT_TOL,
+    BoundReport,
+    bnt_max_bound,
+    gamma2_bound,
+    rho_bound,
+    scaled_deviations,
+)
 
 __all__ = [
     "ThreePointDist",
@@ -668,7 +675,7 @@ class AttainingJoint:
         return {"support": self.arrays()[0].tolist(), "prob": list(self.prob)}
 
 
-def extremal_components(spec: MomentSpec, tol: float = 1e-10) -> ExtremalComponents:
+def extremal_components(spec: MomentSpec, tol: float = DEFAULT_TOL) -> ExtremalComponents:
     """Bound, marginals, coupling, and joint for ``spec`` in one pass.
 
     Works for n = 2 as well: there the same marginal table yields two
@@ -686,7 +693,7 @@ def extremal_components(spec: MomentSpec, tol: float = 1e-10) -> ExtremalCompone
     return ExtremalComponents(report, marginals, p_plus, p_minus, coupling, joint)
 
 
-def build_extremal_joint(spec: MomentSpec, tol: float = 1e-10) -> AttainingJoint:
+def build_extremal_joint(spec: MomentSpec, tol: float = DEFAULT_TOL) -> AttainingJoint:
     """A joint law with the prescribed moments whose expected range is rho_n."""
     return extremal_components(spec, tol).joint
 
@@ -704,9 +711,11 @@ def ag_tightness(
 
     with theta_i**2 = (mu_i - mu_bar)**2 + sigma_i**2.  When tight, the
     attaining joint takes values mu_bar +/- AG/2 at one coordinate each and
-    mu_bar elsewhere.  ``unique`` is True when some (ii) holds with equality
-    (the coupling is then forced); with all inequalities strict, uniqueness
-    is undecidable from the conditions alone and is reported as None.
+    mu_bar elsewhere.  ``unique`` says whether the witness's coupling is the
+    only zero-diagonal one with its tail masses: True when some (ii) holds
+    with equality (the coupling is then forced), and otherwise the verdict
+    of :func:`perturb_coupling`.  It is None only when the bound is not
+    tight.
     """
     mu, sigma = spec.mu, spec.sigma
     mb = spec.mu_bar
@@ -726,8 +735,8 @@ def ag_tightness(
     # or on its boundary, and the table there gives the tail masses.
     table = mass_table(mu, sigma, mb, 0.25 * ag)
     tails = table.p[2] + table.p[0]
-    unique: bool | None = True if float(tails.max()) >= 1.0 - 1e-12 else None
     coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
+    unique = float(tails.max()) >= 1.0 - 1e-12 or perturb_coupling(coupling) is None
     half = 0.5 * ag
     n = spec.n
     joint = AttainingJoint(

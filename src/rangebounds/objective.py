@@ -49,6 +49,8 @@ __all__ = [
     "phi",
     "phi_gradient",
     "classify_regions",
+    "u_value_array",
+    "phi_array",
 ]
 
 #: Relative tolerance used to resolve ties on region boundaries.

@@ -40,7 +40,7 @@ correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -231,7 +231,9 @@ def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
     strictly, with slope sum_i sigma_i**2/alpha_i**3, from -n to n; it is
     below n - 2 at min mu - n max sigma and above it at max mu + n max sigma,
     which brackets the root.  The bound is -(n-2)/2 * y0 + (1/2) sum mu_i +
-    (1/2) sum alpha_i.
+    (1/2) sum alpha_i, whose terms cancel, so it is summed as y0 + (1/2)
+    sum_i (alpha_i - d_i), d_i = y0 - mu_i, with alpha_i - d_i formed as
+    sigma_i**2 / (alpha_i + d_i) where d_i > 0.
     """
     mu, sigma = spec.arrays()
     n = spec.n
@@ -244,9 +246,10 @@ def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
 
     span = n * float(sigma.max())
     y0, _ = _newton_bisect(fdf, float(mu.min()) - span, float(mu.max()) + span)
-    alpha = np.hypot(mu - y0, sigma)
-    bnt = -0.5 * (n - 2) * y0 + 0.5 * math.fsum(spec.mu) + 0.5 * math.fsum(alpha)
-    return bnt, y0
+    d = y0 - mu
+    alpha = np.hypot(d, sigma)
+    gap = np.where(d > 0.0, sigma * (sigma / (alpha + np.abs(d))), alpha - d)
+    return y0 + 0.5 * math.fsum(gap.tolist()), y0
 
 
 def gamma2_bound(
@@ -477,17 +480,6 @@ def rho_bound(spec: MomentSpec, tol: float = DEFAULT_TOL) -> BoundReport:
                 f"closed form {closed!r}",
                 best=solved,
             )
-        method = "equal-means-closed-form"
-        if solved.method.endswith("+boundary-degenerate"):
-            method += "+boundary-degenerate"
-        return BoundReport(
-            rho=closed,
-            optimum=solved.optimum,
-            regions=solved.regions,
-            ag=solved.ag,
-            infimum=solved.infimum,
-            method=method,
-            iterations=solved.iterations,
-            residual=solved.residual,
-        )
+        method = solved.method.replace("general-solver", "equal-means-closed-form")
+        return replace(solved, rho=closed, method=method)
     return minimize_phi(spec, tol)

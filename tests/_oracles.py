@@ -28,6 +28,7 @@ from rangebounds import (
     MomentSpec,
     extremal_components,
     mc_expected_range,
+    perturb_coupling,
     phi,
     zero_trace_coupling,
 )
@@ -401,8 +402,9 @@ def ag_general_bound_by_loop(spec: MomentSpec, coeffs) -> float:
 
 
 def ag_tightness_by_loop(spec: MomentSpec) -> tuple[bool, bool | None, AttainingJoint | None]:
-    """``ag_tightness`` with its conditions checked coordinate by coordinate
-    and its tail masses from :func:`mass_table_by_choose`."""
+    """``ag_tightness`` with its conditions checked coordinate by coordinate,
+    its tail masses from :func:`mass_table_by_choose`, and its uniqueness
+    verdict from the certificate on its own coupling alone."""
     mb = spec.mu_bar
     d, s, e = _scaled_deviations_by_loop(spec)
     theta2 = [di * di + si * si for di, si in zip(d, s)]
@@ -417,11 +419,11 @@ def ag_tightness_by_loop(spec: MomentSpec) -> tuple[bool, bool | None, Attaining
     table = mass_table_by_choose(spec.mu, spec.sigma, mb, 0.25 * ag)
     p_plus = table.p[2].tolist()
     p_minus = table.p[0].tolist()
-    unique = True if max(pp + pm for pp, pm in zip(p_plus, p_minus)) >= 1.0 - 1e-12 else None
+    coupling = zero_trace_coupling(p_plus, p_minus)
     half = 0.5 * ag
     n = spec.n
     joint = AttainingJoint(
         x_zero=np.full(n, mb), x_plus=np.full(n, mb + half), x_minus=np.full(n, mb - half),
-        coupling=zero_trace_coupling(p_plus, p_minus),
+        coupling=coupling,
     )
-    return True, unique, joint
+    return True, perturb_coupling(coupling) is None, joint

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +160,28 @@ class TestCompareCommand:
         assert data["plackett"] == pytest.approx(2.0 * math.sqrt(3.0), abs=1e-9)
 
 
+PAPER_EXAMPLES_CSV = """\
+name,value
+ag-tight-triple.ag,4.0
+ag-tight-triple.p-plus-max-error,5.551115123125783e-17
+ag-tight-triple.p-minus-max-error,5.551115123125783e-17
+ag-tight-triple.joint-max-error,1.1102230246251565e-16
+asymmetric-spread-triple.lambda,1.7370468811072135
+asymmetric-spread-triple.rho,6.066343071875007
+asymmetric-spread-triple.ag,6.164414002968976
+asymmetric-spread-triple.range-low,5.542082488233448
+asymmetric-spread-triple.prob-low,0.2543080777804665
+asymmetric-spread-triple.range-high,6.245135006331151
+asymmetric-spread-triple.prob-high,0.7456919222195335
+homogeneous-triple.rho,2.449489742783178
+equal-means-big-outlier.rho,4.414213562373096
+two-balanced-groups.rho,6.0
+single-outlier-mean.stationarity-residual,-1.1102230246251565e-16
+single-outlier-mean.rho-form-gap,0.0
+pass,true
+"""
+
+
 class TestPaperExamplesCommand:
     def test_all_targets_pass(self, capsys):
         code, out, _ = run_cli(capsys, "paper-examples")
@@ -173,6 +198,11 @@ class TestPaperExamplesCommand:
             "two-balanced-groups",
             "single-outlier-mean",
         }
+
+    def test_csv_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "paper-examples", "--format", "csv")
+        assert code == 0
+        assert out == PAPER_EXAMPLES_CSV
 
 
 class TestErrorHandling:
@@ -197,6 +227,37 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "sigma" in err
+
+    @pytest.mark.parametrize(
+        "command, stdin, message",
+        [
+            ("bound", "[1, 2]", "must be an object"),
+            ("verify", '{"mu": [0, 1], "sigma": [1, 1], "joint": {}}', "'support'"),
+        ],
+    )
+    def test_rejected_input_exits_one(self, capsys, monkeypatch, command, stdin, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, command, "--input", "-")
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("module", ["rangebounds", "rangebounds.cli"])
+    def test_module_entry_point(self, capsys, module):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", module, "bound", "--input", TRIPLE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert run_cli(capsys, "bound", "--input", TRIPLE) == (0, done.stdout, "")
 
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

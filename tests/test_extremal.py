@@ -5,7 +5,9 @@ import pytest
 
 from _oracles import random_spec
 from rangebounds import (
+    JointDiscreteDistribution,
     MomentSpec,
+    ProbabilityMatrix,
     ThreePointDist,
     ValidationError,
     ag_bound,
@@ -18,9 +20,40 @@ from rangebounds import (
     extremal_components,
     extremal_marginals,
     extremal_pair_given_correlation,
+    perturb_coupling,
     rho_bound,
     univariate_extremal,
+    zero_trace_coupling,
 )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ProbabilityMatrix(q=np.ones((1, 1))), "at least 2 x 2"),
+        (lambda: ProbabilityMatrix.from_json_dict({"p": [[0.0, 1.0], [0.0, 0.0]]}), "key 'q'"),
+        (lambda: zero_trace_coupling([1.0], [1.0]), "at least two indices"),
+        (lambda: perturb_coupling(np.array([[0.0, 1.0], [0.0, 0.0]])), "ProbabilityMatrix"),
+        (lambda: extremal_pair_given_correlation(0.0, 1.0, 1.0, 1.0, 0.5).sample(0), "at least 1"),
+        (lambda: ThreePointDist(1.0, 0.0, 2.0, 0.5, 0.0, 0.5, "I1", 0.0, 0.5), "support"),
+        (
+            lambda: JointDiscreteDistribution(support=((0.0,), (1.0,)), prob=(1.5, -0.5)),
+            "nonnegative",
+        ),
+    ],
+    ids=[
+        "1x1-matrix",
+        "matrix-json-without-q",
+        "one-index-coupling",
+        "perturb-non-matrix",
+        "zero-samples",
+        "unordered-points",
+        "negative-mass",
+    ],
+)
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def joint_mean_and_var(joint, i):
@@ -159,25 +192,27 @@ class TestBuildExtremalJoint:
 
 
 class TestAgTightness:
-    def test_tight_triple_reports_uniqueness_unknown(self):
-        # All balance inequalities are strict here, so uniqueness cannot be
-        # certified from them even though the joint happens to be unique.
+    def test_tight_triple_certified_unique(self):
+        # All balance inequalities are strict here, so the coupling is not
+        # forced; the certificate still finds it to be the only one.
         spec = MomentSpec(
             mu=(-1.0, 0.0, 1.0), sigma=(1.0, math.sqrt(3.0), math.sqrt(2.0))
         )
         tight, unique, joint = ag_tightness(spec)
         assert tight is True
-        assert unique is None
+        assert unique is True
         assert len(joint.support) == 4
         assert expected_range(joint) == pytest.approx(ag_bound(spec), abs=1e-12)
         assert check_moments(joint, spec, tol=1e-9).passed
 
-    def test_homogeneous_specs_tight_but_not_certified_unique(self):
-        spec = MomentSpec(mu=(0.0,) * 4, sigma=(1.0,) * 4)
-        tight, unique, joint = ag_tightness(spec)
-        assert tight is True
-        assert unique is None
-        assert expected_range(joint) == pytest.approx(ag_bound(spec), abs=1e-12)
+    def test_homogeneous_specs_tight_with_other_couplings(self):
+        for n in (3, 4, 6):
+            spec = MomentSpec(mu=(0.0,) * n, sigma=(1.0,) * n)
+            tight, unique, joint = ag_tightness(spec)
+            assert tight is True
+            assert unique is False
+            assert perturb_coupling(joint.coupling) is not None
+            assert expected_range(joint) == pytest.approx(ag_bound(spec), abs=1e-12)
 
     def test_equal_sigma_pair_tight_and_certified_unique(self):
         # For a pair the gap to the dispersion bound is (sigma1 - sigma2)**2,
@@ -280,6 +315,11 @@ class TestPairSampler:
         sampler = extremal_pair_given_correlation(0.0, 2.0, 1.5, 1.5, 1.0)
         draws = sampler.sample(1000, seed=3)
         assert float(np.max(np.abs(draws[:, 1] - draws[:, 0] - 2.0))) == 0.0
+
+    def test_degenerate_gap_law_is_a_common_shift(self):
+        joint = extremal_pair_given_correlation(0.0, 2.0, 1.5, 1.5, 1.0).as_joint()
+        assert joint.support == ((1.5, 3.5), (-1.5, 0.5))
+        assert joint.prob == (0.5, 0.5)
 
     def test_seeded_sampling_is_reproducible(self):
         sampler = extremal_pair_given_correlation(0.0, 1.0, 1.0, 1.0, 0.2)

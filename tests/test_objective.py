@@ -10,6 +10,7 @@ from _oracles import fd_gradient, mass_table_by_choose, random_spec, u_by_linpro
 from rangebounds import (
     DualPoint,
     MomentSpec,
+    RegionPartition,
     ValidationError,
     classify_regions,
     phi,
@@ -23,6 +24,22 @@ from rangebounds.objective import mass_table
 
 xs = st.floats(-6.0, 6.0)
 ys = st.floats(0.05, 5.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MomentSpec(mu=("a", 1.0), sigma=(1.0, 1.0)), "sequence of numbers"),
+        (lambda: MomentSpec.from_json_dict([0.0, 1.0]), "JSON object"),
+        (lambda: DualPoint(c=math.inf, lam=1.0), "finite"),
+        (lambda: RegionPartition(i1=(0,), i2=(0,), i3=(), i4=()), "disjoint"),
+        (lambda: RegionPartition(i1=(0,), i2=(1,), i3=(), i4=()).region_of(2), "outside"),
+    ],
+    ids=["non-numeric-mu", "non-object-json", "infinite-c", "overlapping-regions", "index"],
+)
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestMomentSpec:

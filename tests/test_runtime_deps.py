@@ -1,9 +1,13 @@
-"""The runtime needs numpy only; scipy is a test dependency."""
+"""The runtime needs numpy only; scipy is a test dependency.  Every name the
+package exports is exported by its home module too."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import rangebounds
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,3 +30,13 @@ def test_import_does_not_load_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_package_exports_are_exported_by_their_home_modules():
+    missing = [
+        name
+        for name in rangebounds.__all__
+        if name != "__version__"
+        and name not in importlib.import_module(getattr(rangebounds, name).__module__).__all__
+    ]
+    assert missing == []

@@ -1,3 +1,4 @@
+import decimal
 import math
 import statistics
 
@@ -13,6 +14,7 @@ from _oracles import (
     star_spec,
 )
 from rangebounds import (
+    ConvergenceError,
     DualPoint,
     MomentSpec,
     ValidationError,
@@ -32,6 +34,22 @@ from rangebounds import (
 )
 from rangebounds import solver
 from rangebounds.objective import mass_table
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gamma2_bound(0.0, 1.0, 0.0, 1.0, 0.0), "sigmas must be positive"),
+        (
+            lambda: equal_means_bound(MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 1.0, 1.0))),
+            "all means equal",
+        ),
+    ],
+    ids=["zero-sigma-pair", "unequal-means"],
+)
+def test_rejects_invalid_input(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 class TestAgBound:
@@ -104,6 +122,29 @@ class TestBntMaxBound:
             value, _ = bnt_max_bound(spec)
             rho2 = math.hypot(spec.mu[0] - spec.mu[1], spec.sigma[0] + spec.sigma[1])
             assert value == pytest.approx(spec.mu_bar + rho2 / 2.0, abs=1e-9)
+
+    def test_value_is_accurate_at_its_root(self):
+        """The bound's defining sum cancels when the means are offset far
+        from their spread; against a 50-digit evaluation of that sum at the
+        same y0 it is accurate to 1e-13 relative."""
+        rng = np.random.default_rng(15)
+        worst = 0.0
+        for k in range(300):
+            n = (3, 10, 50, 300, 2000)[k % 5]
+            a = 10.0 ** rng.uniform(-3.0, 3.0)
+            b = a * rng.uniform(-100.0, 100.0)
+            mu = a * rng.uniform(-1.0, 1.0, n) + b
+            sigma = a * rng.uniform(0.2, 1.5, n)
+            spec = MomentSpec(mu=tuple(mu.tolist()), sigma=tuple(sigma.tolist()))
+            value, y0 = bnt_max_bound(spec)
+            with decimal.localcontext() as context:
+                context.prec = 50
+                y = decimal.Decimal(y0)
+                exact = -(n - 2) * y / 2
+                for m, s in zip(map(decimal.Decimal, spec.mu), map(decimal.Decimal, spec.sigma)):
+                    exact += (m + ((m - y) ** 2 + s * s).sqrt()) / 2
+                worst = max(worst, float(abs(decimal.Decimal(value) - exact) / abs(exact)))
+        assert worst <= 1e-13
 
     def test_max_based_range_bound_dominates_tight_bound(self):
         rng = np.random.default_rng(14)
@@ -222,6 +263,14 @@ class TestMinimizePhi:
         with pytest.raises(ValidationError):
             minimize_phi(spec, tol=0.0)
 
+    def test_unreachable_tolerance_raises_with_the_best_report(self):
+        spec = MomentSpec(mu=(0.0, 1.0, 3.0), sigma=(1.0, 1.0, 1.0))
+        with pytest.raises(ConvergenceError) as excinfo:
+            minimize_phi(spec, tol=1e-300)
+        best = excinfo.value.best
+        assert best.residual > 1e-300
+        assert best.rho == minimize_phi(spec).rho
+
     def test_agrees_with_derivative_free_search(self):
         rng = np.random.default_rng(20)
         for _ in range(6):
@@ -306,7 +355,7 @@ class TestScale:
         assert ag_general_bound(spec, coeffs) / a == pytest.approx(
             ag_general_bound(unit, coeffs), rel=1e-12
         )
-        assert ag_tightness(spec)[:2] == ag_tightness(unit)[:2] == (True, None)
+        assert ag_tightness(spec)[:2] == ag_tightness(unit)[:2] == (True, False)
 
     @pytest.mark.parametrize("a", [1.0, 1e-13, 1e-150, 1e-300, 1e300])
     def test_equal_means_take_the_closed_form_at_every_scale(self, a):

@@ -147,6 +147,15 @@ class TestInfimumWitness:
             with pytest.raises(ValidationError):
                 infimum_witness(spec, eps, n_samples=10)
 
+    def test_rejects_zero_samples(self):
+        spec = MomentSpec(mu=(0.0, 1.0, 3.0), sigma=(1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError, match="n_samples"):
+            infimum_witness(spec, 0.5, n_samples=0)
+
+    def test_no_inflated_draw_gives_the_mean_spread(self):
+        spec = MomentSpec(mu=(0.0, 1.0, 3.0), sigma=(1.0, 1.0, 1.0))
+        assert infimum_witness(spec, 1e-12, n_samples=10) == 3.0
+
     def test_approaches_mean_spread(self):
         spec = MomentSpec(mu=(0.0, 1.0, 3.0), sigma=(1.0, 1.0, 1.0))
         estimate = infimum_witness(spec, 1e-4, n_samples=400_000, seed=1)
