@@ -41,9 +41,9 @@ __all__ = ["CliConfig", "run", "main"]
 class CliConfig:
     """One parsed invocation.
 
-    ``input_source`` is a path, ``-`` for stdin, or an inline JSON object
-    (recognized by a leading ``{``); it is None for commands that need no
-    input.
+    ``input_source`` is a path, ``-`` for stdin, or inline JSON (text that
+    starts with ``{`` or names no file); it is None for commands that need
+    no input.
     """
 
     command: str
@@ -67,19 +67,20 @@ class CliConfig:
 def _read_input(source: str | None) -> dict:
     if source is None:
         raise ValidationError("this command requires --input")
-    if source.lstrip().startswith("{"):
-        text = source
-    elif source == "-":
-        text = sys.stdin.read()
+    if source == "-":
+        text, missing = sys.stdin.read(), None
+    elif source.lstrip().startswith("{"):
+        text, missing = source, None
     else:
-        path = Path(source)
-        if not path.is_file():
-            raise ValidationError(f"input file not found: {source}")
-        text = path.read_text()
+        try:
+            text, missing = Path(source).read_text(), None
+        except OSError:
+            # Inline JSON that is not an object, or the path of no file.
+            text, missing = source, f"input file not found: {source}"
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"input is not valid JSON: {exc}") from exc
+        raise ValidationError(missing or f"input is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
     return data
@@ -137,50 +138,67 @@ def _floatstrs(values: np.ndarray) -> list[str]:
     return [repr(v) if math.isfinite(v) else json.dumps(v) for v in values.tolist()]
 
 
-def _nested(rows: list[list[str]], depth: int) -> str:
-    """A list of lists of JSON values, laid out as ``json.dumps(indent=2)``
-    lays it out ``depth`` levels deep."""
-    outer = "\n" + "  " * (depth + 1)
-    inner = "\n" + "  " * (depth + 2)
-    items = ("[" + inner + ("," + inner).join(row) + outer + "]" for row in rows)
-    return "[" + outer + ("," + outer).join(items) + "\n" + "  " * depth + "]"
+class _Line:
+    """``sep.join(entries)``, written out with a few entries replaced."""
+
+    def __init__(self, entries: list[str], sep: str) -> None:
+        self.text = sep.join(entries)
+        self.gap = len(sep)
+        self.starts = [0]
+        for e in entries:
+            self.starts.append(self.starts[-1] + len(e) + self.gap)
+
+    def write(self, pieces: list[str], changes: list[tuple[int, str]]) -> None:
+        """Append the line to ``pieces`` with entry k replaced by ``text``
+        for every (k, text) of ``changes``, k increasing."""
+        pos = 0
+        for k, text in changes:
+            pieces += (self.text[pos : self.starts[k]], text)
+            pos = self.starts[k + 1] - self.gap
+        pieces.append(self.text[pos:])
 
 
 def _extremal_json(head: dict, joint: AttainingJoint) -> str:
-    """``json.dumps({**head, "joint": ..., "coupling": ...}, indent=2)``.
+    """``json.dumps({**head, "joint": ..., "coupling": ...}, indent=2) + "\\n"``.
 
-    The attaining law's atoms are x_zero with two entries replaced, so each
-    of the 3n points is formatted once and an atom's line reuses the
-    strings; the coupling formats only its nonzero cells.
+    Written from the law's points and the coupling's cells: an atom's line
+    is the line of x_zero with two entries replaced, a row of the coupling
+    the line of zeros with its cells replaced, and the pieces are joined
+    once, so each point and each cell value is formatted once.
     """
     x_zero = _floatstrs(joint.x_zero)
     x_plus = _floatstrs(joint.x_plus)
     x_minus = _floatstrs(joint.x_minus)
-    atoms = []
-    for i, j in zip(*(c.tolist() for c in joint.cells)):
-        atom = x_zero.copy()
-        atom[i] = x_plus[i]
-        atom[j] = x_minus[j]
-        atoms.append(atom)
-    q = joint.coupling.q
-    written = (q != 0.0) | np.signbit(q)
-    cells = []
-    for row, mask in zip(q, written):
-        line = ["0.0"] * len(row)
-        for j, text in zip(np.flatnonzero(mask).tolist(), _floatstrs(row[mask])):
-            line[j] = text
-        cells.append(line)
-    prob = ",\n      ".join(_floatstrs(np.asarray(joint.prob)))
-    return (
-        json.dumps(head, indent=2)[:-2]
-        + ',\n  "joint": {\n    "support": '
-        + _nested(atoms, 2)
-        + ',\n    "prob": [\n      '
-        + prob
-        + '\n    ]\n  },\n  "coupling": {\n    "q": '
-        + _nested(cells, 2)
-        + "\n  }\n}"
+    rows, cols, values = joint.coupling.cells
+    rows, cols, masses = rows.tolist(), cols.tolist(), _floatstrs(values)
+    by_row: list[list[tuple[int, str]]] = [[] for _ in range(joint.dim)]
+    for i, j, text in zip(rows, cols, masses):
+        by_row[i].append((j, text))
+    # The lists of lists sit two levels deep: a row's entries are indented
+    # by 8 spaces and its brackets by 6.
+    entry = ",\n        "
+    between = "\n      ],\n      [\n        "
+    pieces = [
+        json.dumps(head, indent=2)[:-2],
+        ',\n  "joint": {\n    "support": [\n      [\n        ',
+    ]
+    atom = _Line(x_zero, entry)
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        if k:
+            pieces.append(between)
+        atom.write(pieces, sorted(((i, x_plus[i]), (j, x_minus[j]))))
+    pieces += (
+        '\n      ]\n    ],\n    "prob": [\n      ',
+        ",\n      ".join(masses),
+        '\n    ]\n  },\n  "coupling": {\n    "q": [\n      [\n        ',
     )
+    zeros = _Line(["0.0"] * joint.dim, entry)
+    for i, cells in enumerate(by_row):
+        if i:
+            pieces.append(between)
+        zeros.write(pieces, cells)
+    pieces.append("\n      ]\n    ]\n  }\n}\n")
+    return "".join(pieces)
 
 
 def _run_extremal(config: CliConfig) -> int:
@@ -197,7 +215,7 @@ def _run_extremal(config: CliConfig) -> int:
         "c": parts.report.optimum.c,
         "lambda": parts.report.optimum.lam,
     }
-    sys.stdout.write(_extremal_json(head, parts.joint) + "\n")
+    sys.stdout.write(_extremal_json(head, parts.joint))
     return 0
 
 

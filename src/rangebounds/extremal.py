@@ -133,18 +133,17 @@ class ThreePointDist:
         return tuple(x for x, _ in pairs), tuple(p for _, p in pairs)
 
 
-@dataclass(frozen=True, eq=False)
 class ProbabilityMatrix:
-    """An n x n nonnegative matrix with total mass 1; marginals are derived.
+    """An n x n nonnegative matrix with total mass 1, stored as its positive cells.
 
-    Couplings with zero diagonal carry exact 0.0 entries there, asserted by
+    ``cells`` holds the rows, columns and values of the positive entries in
+    row-major order; the dense read-only ``q`` is formed only when it is
+    read.  Couplings with zero diagonal carry no cell there, asserted by
     producers rather than the type itself.
     """
 
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=float)
+    def __init__(self, q: np.ndarray) -> None:
+        q = np.array(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValidationError(f"q must be a square matrix, got shape {q.shape}")
         if q.shape[0] < 2:
@@ -156,11 +155,35 @@ class ProbabilityMatrix:
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"total mass {total!r} differs from 1")
         q.setflags(write=False)
-        object.__setattr__(self, "q", q)
+        rows, cols = np.nonzero(q > 0.0)
+        self._set(q.shape[0], rows, cols, q[rows, cols])
+        self.q = q
 
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
+    @classmethod
+    def _from_cells(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> "ProbabilityMatrix":
+        """The matrix with positive ``values`` at (rows, cols), given row-major."""
+        total = math.fsum(values.tolist())
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"total mass {total!r} differs from 1")
+        matrix = cls.__new__(cls)
+        matrix._set(n, rows, cols, values)
+        return matrix
+
+    def _set(self, n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+        for array in (rows, cols, values):
+            array.setflags(write=False)
+        self.n = n
+        self.cells = (rows, cols, values)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        rows, cols, values = self.cells
+        q = np.zeros((self.n, self.n))
+        q[rows, cols] = values
+        q.setflags(write=False)
+        return q
 
     @property
     def row_marginals(self) -> np.ndarray:
@@ -175,7 +198,8 @@ class ProbabilityMatrix:
         return float(np.trace(self.q))
 
     def is_zero_trace(self) -> bool:
-        return bool(np.all(np.diag(self.q) == 0.0))
+        rows, cols, _ = self.cells
+        return not np.any(rows == cols)
 
     def to_json_dict(self) -> dict:
         return {"q": self.q.tolist()}
@@ -233,7 +257,7 @@ class JointDiscreteDistribution:
     def from_json_dict(cls, data: object) -> "JointDiscreteDistribution":
         if not isinstance(data, dict) or "support" not in data or "prob" not in data:
             raise ValidationError("joint JSON must contain 'support' and 'prob'")
-        return cls(support=tuple(tuple(v) for v in data["support"]), prob=tuple(data["prob"]))
+        return cls(support=data["support"], prob=data["prob"])
 
 
 def _three_point_laws(table: MassTable) -> tuple[ThreePointDist, ...]:
@@ -260,26 +284,31 @@ def univariate_extremal(mu: float, sigma: float, c: float, lam: float) -> ThreeP
     return _three_point_laws(mass_table((mu,), (sigma,), c, lam))[0]
 
 
-def extremal_marginals(
-    spec: MomentSpec, p: DualPoint
-) -> tuple[tuple[ThreePointDist, ...], tuple[float, ...], tuple[float, ...]]:
-    """Per-coordinate extremal laws at ``p`` plus the upper/lower mass vectors.
+def _optimal_table(spec: MomentSpec, p: DualPoint) -> MassTable:
+    """The mass table at ``p``, which must be the optimum.
 
     At the optimal point the masses satisfy sum p_i^+ = sum p_i^- = 1; a
     violation beyond 1e-6 means ``p`` is not the optimum and is rejected.
     """
     table = mass_table(spec.mu, spec.sigma, p.c, p.lam)
-    p_minus = tuple(table.p[0].tolist())
-    p_plus = tuple(table.p[2].tolist())
-    err_plus = abs(math.fsum(p_plus) - 1.0)
-    err_minus = abs(math.fsum(p_minus) - 1.0)
+    err_plus = abs(math.fsum(table.p[2].tolist()) - 1.0)
+    err_minus = abs(math.fsum(table.p[0].tolist()) - 1.0)
     if max(err_plus, err_minus) > 1e-6:
         raise ValidationError(
             "upper/lower masses must each sum to 1 at the optimum "
             f"(off by {err_plus:.3e} and {err_minus:.3e}); "
             f"(c={p.c!r}, lambda={p.lam!r}) does not minimize the objective"
         )
-    return _three_point_laws(table), p_plus, p_minus
+    return table
+
+
+def extremal_marginals(
+    spec: MomentSpec, p: DualPoint
+) -> tuple[tuple[ThreePointDist, ...], tuple[float, ...], tuple[float, ...]]:
+    """Per-coordinate extremal laws at the optimum ``p`` plus the upper/lower
+    mass vectors; a ``p`` whose masses miss 1 by more than 1e-6 is rejected."""
+    table = _optimal_table(spec, p)
+    return _three_point_laws(table), tuple(table.p[2].tolist()), tuple(table.p[0].tolist())
 
 
 def _validate_marginal_vector(v: Sequence[float], name: str) -> list[float]:
@@ -299,23 +328,66 @@ def _heap(values: list[float]) -> list[tuple[float, int]]:
     return heap
 
 
-def _top(heap: list[tuple[float, int]], values: list[float], count: int) -> list[int]:
-    """The first ``count`` indices by decreasing value, ties by increasing index.
+def _largest(
+    heap: list[tuple[float, int]], values: list[float], skip: tuple[int, ...] = ()
+) -> int | None:
+    """The index of the largest value outside ``skip``, ties to the lowest
+    index, or None when every index is skipped.
 
     ``heap`` holds (-value, index) entries and is updated lazily: an entry
     whose value is no longer ``values[index]`` is stale and dropped here.
     """
-    found: list[tuple[float, int]] = []
-    while heap and len(found) < count:
-        entry = heapq.heappop(heap)
-        if entry[0] == -values[entry[1]] and entry not in found:
-            found.append(entry)
-    for entry in found:
+    held = []
+    found = None
+    while heap:
+        value, index = heap[0]
+        if value != -values[index]:
+            heapq.heappop(heap)
+        elif index in skip:
+            held.append(heapq.heappop(heap))
+        else:
+            found = index
+            break
+    for entry in held:
         heapq.heappush(heap, entry)
-    return [index for _, index in found]
+    return found
 
 
-def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
+#: Every finite float is an integer count of 2**-1074, the smallest subnormal.
+_UNIT = 1 << 1074
+
+
+def _units(x: float) -> int:
+    """``x`` as an exact count of 2**-1074."""
+    num, den = x.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+class _SummedList(list):
+    """A list of floats that keeps its exact sum as a count of 2**-1074.
+
+    Every assignment adds new - old to the count, so ``fsum()`` is the
+    correctly rounded sum, bit for bit ``math.fsum(self)``, for one integer
+    division instead of a pass over the list (exact running summation, as
+    in Shewchuk 1997, with integers for the expansion).
+    """
+
+    def __init__(self, values: Sequence[float]) -> None:
+        super().__init__(values)
+        self.units = sum(map(_units, self))
+
+    def __setitem__(self, index: int, value: float) -> None:
+        self.units += _units(value) - _units(self[index])
+        super().__setitem__(index, value)
+
+    def fsum(self) -> float:
+        # Integer true division rounds correctly, as math.fsum does.
+        return self.units / _UNIT
+
+
+def _coupling_by_greedy(
+    p: list[float], q: list[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest-remaining-sum greedy with a capped transfer, stall-free.
 
     Serving the index with the largest p_l + q_l first and capping every
@@ -324,55 +396,52 @@ def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
     equality the remaining matrix is forced entirely into its row and column,
     which also reproduces the unique solution of the equality case.  Each
     pass zeroes a marginal entry or triggers the forced branch, so the loop
-    ends within about 2n steps.  A pass changes two entries, so heaps find
-    the largest p_l + q_l, p_i and q_j in O(log n) each; ties go to the
-    lowest index.
+    ends within about 2n steps with at most 2n - 1 cells, returned as rows,
+    columns and values in row-major order.  (Only when the totals of p and
+    q differ can p-mass be left that no column takes; the passes then move
+    nothing until the step cap, and a cell that received nothing is none.)
+    A pass changes two entries, so heaps find the largest p_l + q_l, p_i
+    and q_j in O(log n) each (ties go to the lowest index), and the
+    remaining mass m = math.fsum(p) is kept exactly under the changes, so
+    the whole greedy is O(n log n).
 
-    Mass within ``tol`` of zero, or of the remaining total m, counts as
-    exactly there.  ``tol`` is 1e-14, about 45 ulps of the total mass 1, or
-    n ulps of m when that is larger: m sums n rounded masses that the
-    solver balances only to its residual, so the tail masses of a star with
-    n = 200 sum to 1 + 1.3e-14.
+    Mass within ``tol`` of zero, or of m, counts as exactly there.  ``tol``
+    is 1e-14, about 45 ulps of the total mass 1, or n ulps of m when that
+    is larger: m sums n rounded masses that the solver balances only to its
+    residual, so the tail masses of a star with n = 200 sum to 1 + 1.3e-14.
+    Once m is within ``tol`` of 0 every index counts as forced.
     """
     n = len(p)
-    out = np.zeros((n, n), dtype=float)
-    pt = list(p)
+    cells: dict[tuple[int, int], float] = {}
+    pt = _SummedList(p)
     qt = list(q)
     sums = [a + b for a, b in zip(pt, qt)]
     by_p, by_q, by_sum = _heap(pt), _heap(qt), _heap(sums)
     for _ in range(4 * n + 8):
-        m = math.fsum(pt)
-        if m <= _MASS_EPS:
-            break
+        m = pt.fsum()
         tol = max(_MASS_EPS, n * _EPS * m)
-        k = _top(by_sum, sums, 1)[0]
+        k = _largest(by_sum, sums)
         if sums[k] >= m - tol:
             for i in range(n):
                 if i != k and pt[i] > 0.0:
-                    out[i, k] += pt[i]
-                    pt[i] = 0.0
+                    cells[i, k] = cells.get((i, k), 0.0) + pt[i]
             for j in range(n):
                 if j != k and qt[j] > 0.0:
-                    out[k, j] += qt[j]
-                    qt[j] = 0.0
-            pt[k] = qt[k] = 0.0
+                    cells[k, j] = cells.get((k, j), 0.0) + qt[j]
             break
         if pt[k] >= qt[k]:
-            row = k
-            col = next(j for j in _top(by_q, qt, 2) if j != k)
+            row, col = k, _largest(by_q, qt, (k,))
         else:
-            col = k
-            row = next(i for i in _top(by_p, pt, 2) if i != k)
-        others = [l for l in _top(by_sum, sums, 3) if l != row and l != col]
-        cap = m - (sums[others[0]] if others else 0.0)
+            row, col = _largest(by_p, pt, (k,)), k
+        other = _largest(by_sum, sums, (row, col))
+        cap = m - (0.0 if other is None else sums[other])
         delta = min(pt[row], qt[col], cap)
-        out[row, col] += delta
-        pt[row] -= delta
+        cells[row, col] = cells.get((row, col), 0.0) + delta
+        left = pt[row] - delta
         qt[col] -= delta
         # A cap an ulp short of an entry leaves float residue there, which
         # the forced branch would otherwise turn into a cell of its own.
-        if pt[row] <= tol:
-            pt[row] = 0.0
+        pt[row] = 0.0 if left <= tol else left
         if qt[col] <= tol:
             qt[col] = 0.0
         heapq.heappush(by_p, (-pt[row], row))
@@ -380,21 +449,24 @@ def _coupling_by_greedy(p: list[float], q: list[float]) -> np.ndarray:
         for l in (row, col):
             sums[l] = pt[l] + qt[l]
             heapq.heappush(by_sum, (-sums[l], l))
-    return out
+    keys = sorted(key for key, value in cells.items() if value > 0.0)
+    rows, cols = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    return rows, cols, np.array([cells[key] for key in keys])
 
 
-def _check_coupling(
-    matrix: np.ndarray, p: Sequence[float], q: Sequence[float], tol: float = 1e-12
+def _marginals_match(
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+    p: Sequence[float],
+    q: Sequence[float],
+    tol: float = 1e-12,
 ) -> bool:
-    if matrix.min() < 0.0:
-        return False
-    if np.any(np.diag(matrix) != 0.0):
-        return False
-    if np.max(np.abs(matrix.sum(axis=1) - np.asarray(p))) > tol:
-        return False
-    if np.max(np.abs(matrix.sum(axis=0) - np.asarray(q))) > tol:
-        return False
-    return True
+    """Whether the row and column sums of ``cells`` are ``p`` and ``q`` to ``tol``."""
+    rows, cols, values = cells
+    n = len(p)
+    return bool(
+        np.max(np.abs(np.bincount(rows, values, n) - p)) <= tol
+        and np.max(np.abs(np.bincount(cols, values, n) - q)) <= tol
+    )
 
 
 def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMatrix:
@@ -418,10 +490,10 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
             "no zero-diagonal coupling exists: requires max_i (p_i + q_i) <= 1 "
             f"but index {k} has p+q = {worst!r}"
         )
-    matrix = _coupling_by_greedy(pv, qv)
-    if not _check_coupling(matrix, pv, qv):
+    cells = _coupling_by_greedy(pv, qv)
+    if not _marginals_match(cells, pv, qv):
         raise InfeasibleCouplingError("the greedy coupling failed the marginal check")
-    return ProbabilityMatrix(q=matrix)
+    return ProbabilityMatrix._from_cells(len(pv), *cells)
 
 
 def _strong_components(succ: list[list[int]]) -> list[int]:
@@ -561,8 +633,8 @@ def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
     out[givers, cols] -= eps
     out[np.abs(out) < 1e-16] = 0.0
     candidate = ProbabilityMatrix(q=out)
-    if np.array_equal(out, q) or not _check_coupling(
-        out, m.row_marginals, m.col_marginals, tol=1e-12
+    if np.array_equal(out, q) or not _marginals_match(
+        candidate.cells, m.row_marginals, m.col_marginals
     ):
         raise ValidationError(
             "shifting mass around the exchange cycle failed the marginal check"
@@ -571,14 +643,28 @@ def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
 
 
 class ExtremalComponents(NamedTuple):
-    """Everything produced on the way to an extremal joint distribution."""
+    """Everything produced on the way to an extremal joint distribution.
+
+    ``table`` is the mass table at the optimum; the per-coordinate laws and
+    the tail mass vectors are read off it only when asked for.
+    """
 
     report: BoundReport
-    marginals: tuple[ThreePointDist, ...]
-    p_plus: tuple[float, ...]
-    p_minus: tuple[float, ...]
+    table: MassTable
     coupling: ProbabilityMatrix
     joint: AttainingJoint
+
+    @property
+    def marginals(self) -> tuple[ThreePointDist, ...]:
+        return _three_point_laws(self.table)
+
+    @property
+    def p_plus(self) -> tuple[float, ...]:
+        return tuple(self.table.p[2].tolist())
+
+    @property
+    def p_minus(self) -> tuple[float, ...]:
+        return tuple(self.table.p[0].tolist())
 
 
 def _first_outside(
@@ -599,12 +685,16 @@ def _first_outside(
 class AttainingJoint:
     """The attaining law, stored as its points and its coupling.
 
-    One atom per positive cell (i, j) of ``coupling``, in row-major order,
-    with mass q_ij: coordinate i at x_plus[i], coordinate j at x_minus[j],
-    every other coordinate k at x_zero[k].  It answers the questions of a
+    One atom per cell (i, j) of ``coupling``, in row-major order, with mass
+    q_ij: coordinate i at x_plus[i], coordinate j at x_minus[j], every other
+    coordinate k at x_zero[k].  So coordinate i is at x_plus[i] with the
+    mass of row i, at x_minus[i] with the mass of column i, and at
+    x_zero[i] with the rest, and every question but the n-tuples is
+    answered in O(n + cells).  It answers the questions of a
     ``JointDiscreteDistribution`` (``support``, ``prob``, ``arrays()``,
     ``atom_ranges()``, ``to_json_dict()``) with the same values; the
-    n-tuples of ``support`` are built only when asked for.
+    n-tuples of ``support`` are built only when asked for.  The total mass
+    is the coupling's, which checked it.
     """
 
     x_zero: np.ndarray
@@ -618,28 +708,33 @@ class AttainingJoint:
             values = np.array(getattr(self, name), dtype=float)
             if values.shape != (n,):
                 raise ValidationError(f"{name} must hold {n} values, got shape {values.shape}")
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{name} must be finite")
             values.setflags(write=False)
             object.__setattr__(self, name, values)
-        total = math.fsum(self.prob)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
         # Two distinct cells put some coordinate at two different kinds of
         # point (top, middle, bottom), so their atoms can coincide only
-        # where two of a coordinate's points are equal.
+        # where two of a coordinate's points are equal.  An atom is x_zero
+        # with at most two entries changed, and two atoms coincide exactly
+        # when they change the same entries to the same values.
         x0, xp, xm = self.x_zero, self.x_plus, self.x_minus
-        if np.any((x0 == xp) | (x0 == xm) | (xp == xm)) and len(set(self.support)) != len(
-            self.support
-        ):
-            raise ValidationError("duplicate support vectors")
+        if np.any((x0 == xp) | (x0 == xm) | (xp == xm)):
+            x0, xp, xm = x0.tolist(), xp.tolist(), xm.tolist()
+            changes = [
+                frozenset((k, v) for k, v in ((i, xp[i]), (j, xm[j])) if v != x0[k])
+                for i, j in zip(*(c.tolist() for c in self.cells))
+            ]
+            if len(set(changes)) != len(changes):
+                raise ValidationError("duplicate support vectors")
 
-    @cached_property
+    @property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column indices of the positive cells, row-major."""
-        return np.nonzero(self.coupling.q > 0.0)
+        """Row and column indices of the coupling's cells, row-major."""
+        return self.coupling.cells[:2]
 
     @cached_property
     def prob(self) -> tuple[float, ...]:
-        return tuple(self.coupling.q[self.cells].tolist())
+        return tuple(self.coupling.cells[2].tolist())
 
     @cached_property
     def support(self) -> tuple[tuple[float, ...], ...]:
@@ -651,12 +746,12 @@ class AttainingJoint:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(support, prob) as a fresh (atoms, n) array and a mass vector."""
-        rows, cols = self.cells
+        rows, cols, values = self.coupling.cells
         support = np.tile(self.x_zero, (rows.shape[0], 1))
         atoms = np.arange(rows.shape[0])
         support[atoms, rows] = self.x_plus[rows]
         support[atoms, cols] = self.x_minus[cols]
-        return support, self.coupling.q[rows, cols]
+        return support, values.copy()
 
     def atom_ranges(self) -> np.ndarray:
         """max - min of every atom, in O(1) per atom.
@@ -682,15 +777,11 @@ def extremal_components(spec: MomentSpec, tol: float = DEFAULT_TOL) -> ExtremalC
     two-point laws and the coupling is the unique anti-diagonal matrix.
     """
     report = rho_bound(spec, tol)
-    marginals, p_plus, p_minus = extremal_marginals(spec, report.optimum)
-    coupling = zero_trace_coupling(p_plus, p_minus)
-    joint = AttainingJoint(
-        x_zero=[d.x_zero for d in marginals],
-        x_plus=[d.x_plus for d in marginals],
-        x_minus=[d.x_minus for d in marginals],
-        coupling=coupling,
-    )
-    return ExtremalComponents(report, marginals, p_plus, p_minus, coupling, joint)
+    table = _optimal_table(spec, report.optimum)
+    coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
+    x_minus, x_zero, x_plus = table.points()
+    joint = AttainingJoint(x_zero=x_zero, x_plus=x_plus, x_minus=x_minus, coupling=coupling)
+    return ExtremalComponents(report, table, coupling, joint)
 
 
 def build_extremal_joint(spec: MomentSpec, tol: float = DEFAULT_TOL) -> AttainingJoint:

@@ -4,17 +4,20 @@ Nothing here imports solver internals: the linear program, the finite
 differences, and the derivative-free minimizer only see public evaluation
 functions, so agreement is evidence rather than tautology.  The attaining
 law's plain forms live here too: the law as explicit n-tuples, the moment
-check and expected range as loops over them, the greedy coupling with
-linear scans, and the ``extremal``/``verify`` output as ``json.dumps`` of
-the full payload.  So do the earlier forms of two hot paths, kept for
-bit-for-bit comparison: the mass-table kernel that selected its branches
-with ``np.choose``, and the closed-form bounds as scalar loops.
+check and expected range as loops over them, its exact moments in
+rational arithmetic, the greedy coupling with linear scans and a full
+``math.fsum`` at every step, and the ``extremal``/``verify`` output as
+``json.dumps`` of the full payload.  So do the earlier forms of two hot
+paths, kept for bit-for-bit comparison: the mass-table kernel that
+selected its branches with ``np.choose``, and the closed-form bounds as
+scalar loops.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -187,7 +190,8 @@ def coupling_by_scan(p: list[float], q: list[float]) -> np.ndarray:
 
     The same float steps as ``extremal._coupling_by_greedy``, with every
     maximum found by ``max`` over all indices (ties to the lowest index)
-    instead of by a heap: O(n) per step.
+    instead of by a heap, and the remaining mass by ``math.fsum`` of all n
+    entries instead of a running sum: O(n) per step.
     """
     n = len(p)
     out = np.zeros((n, n), dtype=float)
@@ -195,8 +199,6 @@ def coupling_by_scan(p: list[float], q: list[float]) -> np.ndarray:
     qt = list(q)
     for _ in range(4 * n + 8):
         m = math.fsum(pt)
-        if m <= 1e-14:
-            break
         tol = max(1e-14, n * float(np.finfo(float).eps) * m)
         sums = [pt[l] + qt[l] for l in range(n)]
         k = max(range(n), key=sums.__getitem__)
@@ -251,6 +253,36 @@ def expected_range_by_loop(joint: JointDiscreteDistribution) -> float:
     return math.fsum(p * (max(vec) - min(vec)) for vec, p in zip(joint.support, joint.prob))
 
 
+def _rounded(value: Fraction) -> float:
+    """The float nearest ``value``, infinite past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_moments_by_fractions(
+    joint: JointDiscreteDistribution, spec: MomentSpec, tol: float = 1e-10
+) -> MomentCheckReport:
+    """The moment check with every mean and variance evaluated exactly over
+    the n-tuples in rational arithmetic, then rounded once."""
+    probs = [Fraction(p) for p in joint.prob]
+    mean_errors = []
+    var_errors = []
+    for i, (m, s) in enumerate(zip(spec.mu, spec.sigma)):
+        xs = [Fraction(vec[i]) for vec in joint.support]
+        mean = sum(p * x for p, x in zip(probs, xs))
+        var = sum(p * (x - mean) ** 2 for p, x in zip(probs, xs))
+        mean_errors.append(abs(_rounded(mean) - m))
+        var_errors.append(abs(_rounded(var) - s * s))
+    return MomentCheckReport(
+        mean_errors=tuple(mean_errors),
+        var_errors=tuple(var_errors),
+        expected_range=expected_range_by_loop(joint),
+        passed=max(max(mean_errors), max(var_errors)) <= tol,
+    )
+
+
 def check_moments_by_loop(
     joint: JointDiscreteDistribution, spec: MomentSpec, tol: float = 1e-10
 ) -> MomentCheckReport:
@@ -303,21 +335,21 @@ def extremal_stdout(spec: MomentSpec) -> str:
 def verify_stdout(
     spec: MomentSpec, embedded: JointDiscreteDistribution | None, samples: int, seed: int = 0
 ) -> str:
-    """What ``rangebounds verify`` prints, with every exact check done by
-    the loops above on the n-tuple law."""
+    """What ``rangebounds verify`` prints, with every exact check done on
+    the n-tuple law: the rebuilt law's moments in rational arithmetic, the
+    embedded law's by the loop above."""
     parts, joint = extremal_tuples(spec)
     rho = parts.report.rho
 
-    def agrees(law: JointDiscreteDistribution) -> tuple[MomentCheckReport, bool]:
-        check = check_moments_by_loop(law, spec)
-        ok = check.passed and abs(check.expected_range - rho) <= 1e-9 * (1.0 + rho)
-        return check, ok
+    def agrees(check: MomentCheckReport) -> bool:
+        return check.passed and abs(check.expected_range - rho) <= 1e-9 * (1.0 + rho)
 
-    check, rebuilt_ok = agrees(joint)
+    check = check_moments_by_fractions(joint, spec)
     exact = expected_range_by_loop(joint)
     estimate, std_error = mc_expected_range(joint, samples, seed=seed)
     mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12
-    embedded_ok = None if embedded is None else agrees(embedded)[1]
+    embedded_ok = None if embedded is None else agrees(check_moments_by_loop(embedded, spec))
+    rebuilt_ok = agrees(check)
     payload = {
         "rho": rho,
         "expected_range": exact,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from _oracles import (
+    check_moments_by_fractions,
     check_moments_by_loop,
     coupling_by_scan,
     expected_range_by_loop,
@@ -29,7 +30,7 @@ from rangebounds import (
     perturb_coupling,
     zero_trace_coupling,
 )
-from rangebounds.extremal import _check_coupling, _coupling_by_greedy
+from rangebounds.extremal import _coupling_by_greedy, _marginals_match, _SummedList
 from rangebounds.verify import _probe_joints
 
 
@@ -84,6 +85,14 @@ class TestAttainingJoint:
         with pytest.raises(ValidationError, match="2 values"):
             AttainingJoint(x_zero=[0.0], x_plus=[1.0, 1.0], x_minus=[-1.0, -1.0], coupling=coupling)
 
+    def test_rejects_points_that_are_not_finite(self):
+        # The moment check takes the points apart into integer mantissas.
+        coupling = zero_trace_coupling([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="x_plus must be finite"):
+            AttainingJoint(
+                x_zero=[0.0, 0.0], x_plus=[1.0, math.inf], x_minus=[-1.0, -1.0], coupling=coupling
+            )
+
     def test_ag_witness_is_structured(self):
         spec = MomentSpec(mu=(-1.0, 0.0, 1.0), sigma=(1.0, math.sqrt(3.0), math.sqrt(2.0)))
         tight, _, witness = ag_tightness(spec)
@@ -96,10 +105,12 @@ class TestAttainingJoint:
 class TestVectorizedChecks:
     @pytest.mark.parametrize("spec", law_specs())
     def test_moment_check_is_bit_identical_to_the_loop(self, spec):
+        # The n-tuple law is checked atom by atom, the structured law
+        # exactly; both read the same expected range.
         parts, tuples = extremal_tuples(spec)
-        expected = check_moments_by_loop(tuples, spec)
+        assert check_moments(tuples, spec) == check_moments_by_loop(tuples, spec)
+        assert check_moments(parts.joint, spec) == check_moments_by_fractions(tuples, spec)
         for law in (parts.joint, tuples):
-            assert check_moments(law, spec) == expected
             assert expected_range(law) == expected_range_by_loop(tuples)
 
     def test_probe_laws_are_bit_identical_to_the_loop(self):
@@ -152,6 +163,13 @@ def marginals(rng: np.random.Generator, n: int, kind: str) -> tuple[list[float],
 SIZES = (2, 3, 4, 5, 6, 8, 13, 21, 50, 137, 300, 500)
 
 
+def assert_same_cells(cells, dense: np.ndarray) -> None:
+    """``cells`` are the positive entries of ``dense``, row-major, bit for bit."""
+    rows, cols = np.nonzero(dense > 0.0)
+    assert np.array_equal(cells[0], rows) and np.array_equal(cells[1], cols)
+    assert cells[2].tobytes() == dense[rows, cols].tobytes()
+
+
 class TestGreedyCoupling:
     @pytest.mark.parametrize("kind", ["random", "tight", "near"])
     def test_random_feasible_marginals_pass_the_check(self, kind):
@@ -165,7 +183,8 @@ class TestGreedyCoupling:
                 elif kind == "near":
                     assert 1.0 - 1e-13 <= worst < 1.0
                 matrix = zero_trace_coupling(p, q)
-                assert _check_coupling(matrix.q, p, q, tol=1e-12)
+                assert _marginals_match(matrix.cells, p, q, tol=1e-12)
+                assert matrix.is_zero_trace() and matrix.cells[2].min() > 0.0
 
     def test_marginals_that_disagree_raise(self):
         # Within the 1e-8 normalisation slack each vector is accepted, but
@@ -174,6 +193,14 @@ class TestGreedyCoupling:
         q = [0.4, 0.3, 0.3]
         with pytest.raises(InfeasibleCouplingError, match="marginal check"):
             zero_trace_coupling(p, q)
+        with pytest.raises(InfeasibleCouplingError, match="marginal check"):
+            zero_trace_coupling(q, p)
+
+    def test_marginal_check_reads_rows_and_columns(self):
+        cells = (np.array([0, 1]), np.array([1, 0]), np.array([0.3, 0.7]))
+        assert _marginals_match(cells, [0.3, 0.7], [0.7, 0.3])
+        assert not _marginals_match(cells, [0.3, 0.7], [0.3, 0.7])
+        assert not _marginals_match(cells, [0.7, 0.3], [0.7, 0.3])
 
     def test_heaps_take_the_steps_of_the_linear_scans(self):
         rng = np.random.default_rng(4)
@@ -181,7 +208,7 @@ class TestGreedyCoupling:
             for kind in ("random", "tight", "near"):
                 for _ in range(6):
                     p, q = marginals(rng, n, kind)
-                    assert np.array_equal(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
+                    assert_same_cells(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
 
     def test_ties_go_to_the_lowest_index(self):
         rng = np.random.default_rng(6)
@@ -194,7 +221,7 @@ class TestGreedyCoupling:
                 p, q = (p / p.sum()).tolist(), (q / q.sum()).tolist()
                 if max(a + b for a, b in zip(p, q)) > 1.0:
                     continue
-                assert np.array_equal(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
+                assert_same_cells(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
 
 
 STARS = [
@@ -216,3 +243,104 @@ def test_star_coupling_is_forced(seed, n, a, b):
     assert tight and unique is True
     assert np.array_equal(coupling.q > 0.0, witness.coupling.q > 0.0)
     assert np.max(np.abs(coupling.q - witness.coupling.q)) <= 1e-12
+
+
+def tied_marginals(rng: np.random.Generator, n: int) -> tuple[list[float], list[float]]:
+    """Feasible (p, q) with many equal entries: small integers, normalised."""
+    while True:
+        p = rng.integers(0, 4, size=n).astype(float)
+        q = rng.integers(0, 4, size=n).astype(float)
+        if p.sum() > 0.0 and q.sum() > 0.0:
+            p, q = (p / p.sum()).tolist(), (q / q.sum()).tolist()
+            if max(a + b for a, b in zip(p, q)) <= 1.0:
+                return p, q
+
+
+class TestSparseGreedy:
+    """The greedy's cells against the dense linear-scan oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 64, 300, 1000, 3000])
+    def test_cells_match_the_scan_oracle(self, n):
+        rng = np.random.default_rng(n)
+        kinds = ("random",) if n == 3000 else ("random", "tight", "near", "ties")
+        for kind in kinds:
+            if (n, kind) == (2, "near"):
+                continue
+            p, q = tied_marginals(rng, n) if kind == "ties" else marginals(rng, n, kind)
+            cells = _coupling_by_greedy(p, q)
+            assert len(cells[2]) <= 2 * n - 1
+            assert_same_cells(cells, coupling_by_scan(p, q))
+
+    def test_a_transfer_of_nothing_is_no_cell(self):
+        # With the totals 6e-13 apart, p-mass is left that no column can
+        # take: the greedy transfers 0.0 until its step cap, and the
+        # marginals still match to 1e-12.
+        p, q = [0.1 + 3e-13, 0.2 + 3e-13, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]
+        cells = _coupling_by_greedy(p, q)
+        assert cells[2].min() > 0.0
+        assert_same_cells(cells, coupling_by_scan(p, q))
+        assert np.array_equal(zero_trace_coupling(p, q).cells[2], cells[2])
+
+    def test_star_cells_match_the_scan_oracle(self):
+        for seed, n, a, b in STARS:
+            parts = extremal_components(star_spec(seed, n, a, b))
+            p, q = list(parts.p_plus), list(parts.p_minus)
+            cells = _coupling_by_greedy(p, q)
+            assert len(cells[2]) == 2 * (n - 1)
+            assert_same_cells(cells, coupling_by_scan(p, q))
+
+    def test_running_sum_is_fsum_at_every_step(self, monkeypatch):
+        fsum = _SummedList.fsum
+        seen = []
+
+        def checked(self):
+            m = fsum(self)
+            assert m == math.fsum(self)
+            seen.append(m)
+            return m
+
+        monkeypatch.setattr(_SummedList, "fsum", checked)
+        rng = np.random.default_rng(12)
+        for n in (2, 5, 40, 300):
+            for kind in ("random", "tight", "near", "ties"):
+                if (n, kind) != (2, "near"):
+                    p, q = tied_marginals(rng, n) if kind == "ties" else marginals(rng, n, kind)
+                    _coupling_by_greedy(p, q)
+        assert len(seen) > 500
+
+    def test_summed_list_rounds_as_fsum_over_the_whole_float_range(self):
+        rng = np.random.default_rng(13)
+        values = _SummedList([0.0] * 50)
+        for _ in range(20_000):
+            sign = float(rng.choice([-1.0, 1.0]))
+            values[int(rng.integers(50))] = sign * 10.0 ** float(rng.uniform(-325.0, 300.0))
+            assert values.fsum() == math.fsum(values)
+
+
+@pytest.mark.parametrize("exponent", range(-300, 301, 60))
+def test_structured_moments_are_exactly_rounded(exponent):
+    """Means and variances of the law against rational arithmetic, to the
+    last bit, from a = 1e-300 to a = 1e300 (where the variances overflow).
+    Pairs are left out: their closed form overflows past a = 1e154."""
+    rng = np.random.default_rng(1000 + exponent)
+    for n in (3, 5, 12):
+        a = 10.0**exponent
+        spec = scaled(random_spec(rng, n), a, a * float(rng.uniform(-10.0, 10.0)))
+        parts, tuples = extremal_tuples(spec)
+        got = check_moments(parts.joint, spec)
+        assert repr(got) == repr(check_moments_by_fractions(tuples, spec))
+
+
+def test_law_at_n_5000_never_forms_the_dense_coupling(monkeypatch):
+    def dense(self):
+        raise AssertionError("the dense coupling was formed")
+
+    monkeypatch.setattr(ProbabilityMatrix, "q", property(dense))
+    n = 5000
+    spec = random_spec(np.random.default_rng(5000), n)
+    parts = extremal_components(spec)
+    report = check_moments(parts.joint, spec)
+    rho = parts.report.rho
+    assert len(parts.coupling.cells[2]) <= 2 * n - 1
+    assert report.expected_range == expected_range(parts.joint)
+    assert abs(report.expected_range - rho) <= 1e-9 * rho

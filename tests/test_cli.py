@@ -242,6 +242,18 @@ class TestErrorHandling:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("[1, 2]", "error: input JSON must be an object"),
+            ("3", "error: input JSON must be an object"),
+            ("no-such-spec.json", "error: input file not found: no-such-spec.json"),
+        ],
+    )
+    def test_inline_input_that_is_not_an_object(self, capsys, source, message):
+        code, out, err = run_cli(capsys, "bound", "--input", source)
+        assert (code, out, err) == (1, "", message + "\n")
+
     @pytest.mark.parametrize("module", ["rangebounds", "rangebounds.cli"])
     def test_module_entry_point(self, capsys, module):
         root = Path(__file__).resolve().parents[1]
