@@ -20,6 +20,7 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -458,7 +459,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    an in-process caller of ``main`` pays for the build only once."""
     parser = _Parser(
         prog="rangebounds",
         description="Tight bounds on the expected range of dependent random variables.",

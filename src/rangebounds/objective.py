@@ -18,9 +18,10 @@ unique point for n >= 3.
 At any (c, lambda) the maximizing law of each coordinate sits on at most
 three points x^- < x^0 < x^+ with masses p^-, p^0, p^+, and
 grad phi_n = (sum p^- - sum p^+, sum p^0 - (n - 2)).  One numpy kernel,
-:func:`mass_table`, computes that table for every coordinate, with the
+:func:`mass_table`, gives that table for every coordinate, with the
 region of each coordinate and the derivative columns d p^0/d lambda,
-d(p^- - p^+)/dc and d p^0/dc.  ``u_value``, ``u_gradient``, ``phi``,
+d(p^- - p^+)/dc and d p^0/dc; it forms the region masks at once and each
+column the first time it is read.  ``u_value``, ``u_gradient``, ``phi``,
 ``phi_gradient`` and ``classify_regions`` are reads of it, as are the
 solver and the extremal constructions; ``u_value_array`` / ``phi_array``
 stay an independent formulation for cross-checks.
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -195,31 +197,114 @@ class RegionPartition:
         }
 
 
-class MassTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class MassTable:
     """The extremal three-point law of every coordinate at one (c, lambda).
 
-    Arrays hold one entry per coordinate; ``z`` and ``p`` hold one row per
-    support slot, in the order minus, zero, plus.
+    Built by :func:`mass_table`, which forms only what every reader needs:
+    the scaled coordinates x = (mu - c)/lambda, y = sigma/lambda, |x|,
+    r = hypot(x, y), the two relative margins and the two region masks.
+    Every other column is formed the first time it is read, from the same
+    per-element expressions, and kept, so a reader pays only for the
+    columns it reads.  Arrays hold one entry per coordinate; ``z`` and
+    ``p`` hold one row per support slot, in the order minus, zero, plus.
 
     * ``region``: 0..3 for I1..I4 (names in :data:`REGION_NAMES`);
     * ``z``: support points in the scaled coordinate (x - c)/lambda, with
       the fill points -2, 0, 2 in slots that carry no mass;
-    * ``p``: the masses p^-, p^0, p^+;
+    * ``p``: the masses p^-, p^0, p^+, whose middle row is ``p_zero``;
     * ``margin``: relative distance to the nearest region boundary;
     * ``dp0_dlam``, ``dgap_dc``, ``dp0_dc``: d p^0/d lambda,
       d(p^- - p^+)/dc and d p^0/dc, whose sums are the second derivatives
       phi_lambda,lambda, phi_cc and phi_c,lambda.
+
+    ``right``, ``r2``, ``t``, ``h`` and ``k3`` are the intermediates that
+    several columns share, formed and kept the same way.
     """
 
     c: float
     lam: float
-    region: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
-    margin: np.ndarray
-    dp0_dlam: np.ndarray
-    dgap_dc: np.ndarray
-    dp0_dc: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ax: np.ndarray
+    r: np.ndarray
+    m_two: np.ndarray
+    m_one: np.ndarray
+    two: np.ndarray
+    one: np.ndarray
+
+    def _pick(self, i1, i2, i34):
+        """The I1, I2 or I3/I4 branch of every coordinate."""
+        return np.where(self.two, i1, np.where(self.one, i34, i2))
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        return self.x > 0.0
+
+    @cached_property
+    def r2(self) -> np.ndarray:
+        return np.minimum(self.r, 2.0) ** 2  # r < 2 wherever the I2 entries are read
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return np.hypot(self.ax - 1.0, self.y)
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return (self.ax - 1.0) / self.t
+
+    @cached_property
+    def k3(self) -> np.ndarray:
+        return 0.5 * (self.y / self.t) ** 2 / self.t
+
+    @cached_property
+    def region(self) -> np.ndarray:
+        return np.where(self.two, 0, np.where(self.one, np.where(self.right, 2, 3), 1))
+
+    @cached_property
+    def p_zero(self) -> np.ndarray:
+        return self._pick(0.0, 1.0 - 0.25 * self.r2, 0.5 * (1.0 - self.h))
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        x, g, r2, right = self.x, self.x / self.r, self.r2, self.right
+        far = 0.5 * (1.0 + self.h)
+        return np.array(
+            (
+                self._pick(0.5 * (1.0 - g), 0.125 * (r2 - 2.0 * x), np.where(right, 0.0, far)),
+                self.p_zero,
+                self._pick(0.5 * (1.0 + g), 0.125 * (r2 + 2.0 * x), np.where(right, far, 0.0)),
+            )
+        )
+
+    @cached_property
+    def z(self) -> np.ndarray:
+        r, t, right = self.r, self.t, self.right
+        return np.array(
+            (
+                self._pick(-r, -2.0, np.where(right, -2.0, -1.0 - t)),
+                self._pick(0.0, 0.0, np.where(right, 1.0 - t, t - 1.0)),
+                self._pick(r, 2.0, np.where(right, 1.0 + t, 2.0)),
+            )
+        )
+
+    @cached_property
+    def margin(self) -> np.ndarray:
+        return np.minimum(np.abs(self.m_two), np.abs(self.m_one))
+
+    @cached_property
+    def dp0_dlam(self) -> np.ndarray:
+        return self._pick(0.0, 0.5 * self.r2, self.k3) / self.lam
+
+    @cached_property
+    def dgap_dc(self) -> np.ndarray:
+        k1 = (self.y / self.r) ** 2 / self.r
+        return self._pick(k1, 0.5, self.k3) / self.lam
+
+    @cached_property
+    def dp0_dc(self) -> np.ndarray:
+        k3 = self.k3
+        return self._pick(0.0, 0.5 * self.x, np.where(self.right, k3, -k3)) / self.lam
 
     def points(self) -> np.ndarray:
         """Support points (x^-, x^0, x^+) in the units of the spec."""
@@ -236,7 +321,7 @@ class MassTable(NamedTuple):
     def gradient(self) -> tuple[float, float]:
         """(d phi/dc, d phi/d lambda) = (sum p^- - sum p^+, sum p^0 - (n - 2))."""
         p_minus, p_zero, p_plus = self.p.sum(axis=1)
-        return float(p_minus - p_plus), float(p_zero - (self.region.size - 2))
+        return float(p_minus - p_plus), float(p_zero - (self.x.size - 2))
 
     def partition(self) -> RegionPartition:
         return RegionPartition(
@@ -245,7 +330,7 @@ class MassTable(NamedTuple):
 
 
 def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
-    """Every coordinate's extremal three-point law at (c, lambda), in one pass.
+    """Every coordinate's extremal three-point law at (c, lambda).
 
     Works in the scaled coordinates x = (mu - c)/lambda, y = sigma/lambda,
     r = hypot(x, y), so nothing is squared in the units of the spec.  Per
@@ -259,9 +344,10 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
 
     Boundary ties within ``BOUNDARY_REL_TOL`` go to I1 first, then to
     I3/I4; the masses are continuous across every boundary, so a tie moves
-    only the bookkeeping.  The three region masks are formed once and every
-    output selects its branch with ``np.where``; every branch is finite
-    wherever sigma > 0, so the discarded values raise no warnings.
+    only the bookkeeping.  This forms the two region masks; every column of
+    the returned table selects its branch with ``np.where`` on them when it
+    is first read.  Every branch is finite wherever sigma > 0, so the
+    discarded values raise no warnings.
     """
     x = (np.asarray(mu, dtype=float) - c) / lam
     y = np.asarray(sigma, dtype=float) / lam
@@ -275,46 +361,7 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
     m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
     two = m_two >= -BOUNDARY_REL_TOL
     one = ~two & (m_one <= BOUNDARY_REL_TOL)
-    right = x > 0.0
-    region = np.where(two, 0, np.where(one, np.where(right, 2, 3), 1))
-
-    g = x / r
-    k1 = (y / r) ** 2 / r
-    r2 = np.minimum(r, 2.0) ** 2  # r < 2 wherever the I2 entries are read
-    t = np.hypot(ax - 1.0, y)
-    h = (ax - 1.0) / t
-    far = 0.5 * (1.0 + h)
-    near = 0.5 * (1.0 - h)
-    k3 = 0.5 * (y / t) ** 2 / t
-
-    def pick(i1, i2, i34):
-        return np.where(two, i1, np.where(one, i34, i2))
-
-    p = np.array(
-        (
-            pick(0.5 * (1.0 - g), 0.125 * (r2 - 2.0 * x), np.where(right, 0.0, far)),
-            pick(0.0, 1.0 - 0.25 * r2, near),
-            pick(0.5 * (1.0 + g), 0.125 * (r2 + 2.0 * x), np.where(right, far, 0.0)),
-        )
-    )
-    z = np.array(
-        (
-            pick(-r, -2.0, np.where(right, -2.0, -1.0 - t)),
-            pick(0.0, 0.0, np.where(right, 1.0 - t, t - 1.0)),
-            pick(r, 2.0, np.where(right, 1.0 + t, 2.0)),
-        )
-    )
-    return MassTable(
-        c=float(c),
-        lam=float(lam),
-        region=region,
-        z=z,
-        p=p,
-        margin=np.minimum(np.abs(m_two), np.abs(m_one)),
-        dp0_dlam=pick(0.0, 0.5 * r2, k3) / lam,
-        dgap_dc=pick(k1, 0.5, k3) / lam,
-        dp0_dc=pick(0.0, 0.5 * x, np.where(right, k3, -k3)) / lam,
-    )
+    return MassTable(float(c), float(lam), x, y, ax, r, m_two, m_one, two, one)
 
 
 def _require_positive_y(y: float) -> float:

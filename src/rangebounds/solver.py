@@ -323,8 +323,15 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
         raise ValidationError(f"closed form requires n = 2, got n = {spec.n}")
     (m1, m2), (s1, s2) = spec.mu, spec.sigma
     rho = math.hypot(m1 - m2, s1 + s2)
-    c0 = (s1 * m2 + s2 * m1) / (s1 + s2)
-    lam0 = rho * min(s1, s2) / (2.0 * (s1 + s2))
+    # Both are formed with the means, the sigmas and rho each divided by a
+    # power of two of their own size, which is exact, so that no product
+    # overflows or underflows at any scale of the spec; c0 is of degree 1 in
+    # the means and lambda0 of degree 1 in rho, so each is scaled back once.
+    e_mu, e_rho = math.frexp(max(abs(m1), abs(m2)))[1], math.frexp(rho)[1]
+    u1, u2 = math.ldexp(m1, -e_mu), math.ldexp(m2, -e_mu)
+    w1, w2 = (math.ldexp(s, -math.frexp(max(s1, s2))[1]) for s in (s1, s2))
+    c0 = math.ldexp((w1 * u2 + w2 * u1) / (w1 + w2), e_mu)
+    lam0 = math.ldexp(math.ldexp(rho, -e_rho) * min(w1, w2) / (2.0 * (w1 + w2)), e_rho)
     table = mass_table(spec.mu, spec.sigma, c0, lam0)
     return _report(spec, table, rho, "n2-closed-form", 0)
 
@@ -388,7 +395,7 @@ def _inner_table(
     def fdf(lam: float) -> tuple[float, float]:
         nonlocal table
         table = mass_table(mu, sigma, c, lam)
-        return float(table.p[1].sum()) - (n - 2), float(table.dp0_dlam.sum())
+        return float(table.p_zero.sum()) - (n - 2), float(table.dp0_dlam.sum())
 
     _newton_bisect(fdf, float(np.partition(t, n - 2)[n - 2]), float(t.sum()), lam0)
     return table

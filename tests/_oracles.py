@@ -9,8 +9,8 @@ rational arithmetic, the greedy coupling with linear scans and a full
 ``math.fsum`` at every step, and the ``extremal``/``verify`` output as
 ``json.dumps`` of the full payload.  So do the earlier forms of two hot
 paths, kept for bit-for-bit comparison: the mass-table kernel that
-selected its branches with ``np.choose``, and the closed-form bounds as
-scalar loops.
+selected its branches with ``np.choose`` and formed every column at once,
+and the closed-form bounds as scalar loops.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -35,7 +36,7 @@ from rangebounds import (
     phi,
     zero_trace_coupling,
 )
-from rangebounds.objective import BOUNDARY_REL_TOL, MassTable
+from rangebounds.objective import BOUNDARY_REL_TOL
 
 
 def random_spec(rng: np.random.Generator, n: int | None = None) -> MomentSpec:
@@ -362,7 +363,21 @@ def verify_stdout(
     return json.dumps(payload, indent=2) + "\n"
 
 
-def mass_table_by_choose(mu, sigma, c: float, lam: float) -> MassTable:
+class ChosenTable(NamedTuple):
+    """Every column of the mass table, all formed at once."""
+
+    c: float
+    lam: float
+    region: np.ndarray
+    z: np.ndarray
+    p: np.ndarray
+    margin: np.ndarray
+    dp0_dlam: np.ndarray
+    dgap_dc: np.ndarray
+    dp0_dc: np.ndarray
+
+
+def mass_table_by_choose(mu, sigma, c: float, lam: float) -> ChosenTable:
     """The mass table with each output chosen by region code via ``np.choose``."""
     x = (np.asarray(mu, dtype=float) - c) / lam
     y = np.asarray(sigma, dtype=float) / lam
@@ -398,7 +413,7 @@ def mass_table_by_choose(mu, sigma, c: float, lam: float) -> MassTable:
             np.choose(region, (r, 2.0, 1.0 + t, 2.0)),
         )
     )
-    return MassTable(
+    return ChosenTable(
         c=float(c),
         lam=float(lam),
         region=region,

@@ -271,6 +271,40 @@ class TestErrorHandling:
         assert done.returncode == 0, done.stderr
         assert run_cli(capsys, "bound", "--input", TRIPLE) == (0, done.stdout, "")
 
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
+        """The parser is built once per process; calls after the first,
+        help and usage errors included, must read as fresh processes do."""
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv(
+            "PYTHONPATH",
+            os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p),
+        )
+        codes = []
+        for argv in (
+            ["bound", "--input", TRIPLE],
+            ["--help"],
+            ["compare", "--input", TRIPLE, "--format", "csv"],
+            ["bound", "--tol", "tiny"],
+            ["verify", "--help"],
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            done = subprocess.run(
+                [sys.executable, "-m", "rangebounds", *argv],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert (code, captured.out, captured.err) == (
+                done.returncode, done.stdout, done.stderr
+            ), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 1, 0]
+
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

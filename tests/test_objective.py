@@ -365,19 +365,26 @@ class TestMassTable:
 
 
 class TestMassTableAgainstChoose:
-    """The kernel selects its branches with ``np.where`` on three masks; every
-    array must equal, bit for bit, the table chosen by region code."""
+    """The kernel selects its branches with ``np.where`` on three masks and
+    forms each column when it is first read; every column must equal, bit
+    for bit, the table chosen by region code, whatever order it is read in."""
 
-    FIELDS = ("region", "z", "p", "margin", "dp0_dlam", "dgap_dc", "dp0_dc")
+    ORDERS = (
+        ("region", "z", "p", "p_zero", "margin", "dp0_dlam", "dgap_dc", "dp0_dc"),
+        ("p_zero", "dp0_dlam", "dgap_dc", "dp0_dc", "p", "margin", "z", "region"),
+        ("dp0_dc", "dgap_dc", "margin", "z", "region", "p", "dp0_dlam", "p_zero"),
+    )
 
     def assert_same(self, spec, c, lam):
-        new = mass_table(spec.mu, spec.sigma, c, lam)
         old = mass_table_by_choose(spec.mu, spec.sigma, c, lam)
-        assert (new.c, new.lam) == (old.c, old.lam)
-        for name in self.FIELDS:
-            a, b = getattr(new, name), getattr(old, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-            assert a.tobytes() == b.tobytes(), name
+        expected = {**old._asdict(), "p_zero": old.p[1]}
+        for order in self.ORDERS:
+            new = mass_table(spec.mu, spec.sigma, c, lam)
+            assert (new.c, new.lam) == (old.c, old.lam)
+            for name in order:
+                a, b = getattr(new, name), expected[name]
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
 
     def test_every_region_and_tie(self):
         for spec, c, lam in TestMassTable().points():

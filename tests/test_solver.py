@@ -225,6 +225,19 @@ class TestPairClosedForm:
         with pytest.raises(ValidationError):
             rho2_closed(MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 1.0, 1.0)))
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-180, 1e180, 1e300])
+    def test_extreme_scales_scale_the_unit_report_exactly(self, a):
+        """Products of means and sigmas leave the float range past about
+        1e154 and below 1e-162; the report must not.  The power of two
+        nearest a keeps the scaled spec exact, so equality is exact."""
+        a = math.ldexp(1.0, round(math.log2(a)))
+        unit = rho2_closed(MomentSpec(mu=(0.0, 1.3), sigma=(0.7, 1.1)))
+        report = rho2_closed(MomentSpec(mu=(0.0, 1.3 * a), sigma=(0.7 * a, 1.1 * a)))
+        assert report.rho / a == unit.rho
+        assert report.optimum.c / a == unit.optimum.c
+        assert report.optimum.lam / a == unit.optimum.lam
+        assert report.regions == unit.regions
+
 
 class TestEqualMeansBound:
     def test_balanced_branch(self):
@@ -464,3 +477,42 @@ class TestEvaluationCount:
                 counts.append(calls)
         assert statistics.median(general) <= 20
         assert statistics.median(equal) <= 3
+
+
+class TestColumnsFormed:
+    """Which mass-table columns a solve forms: a cost that reads the same on
+    any machine.  Every inner evaluation reads p^0 and d p^0/d lambda alone;
+    the table ending each outer evaluation adds p and the two c-derivative
+    columns; only the reported table forms z, the margin and the regions."""
+
+    COLUMNS = ("region", "z", "p", "p_zero", "margin", "dp0_dlam", "dgap_dc", "dp0_dc")
+    INNER = {"p_zero", "dp0_dlam"}
+    OUTER = INNER | {"p", "dgap_dc", "dp0_dc"}
+    REPORTED = OUTER | {"z", "margin", "region"}
+
+    def formed(self, monkeypatch, spec):
+        tables = []
+
+        def recording(*args):
+            tables.append(mass_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(solver, "mass_table", recording)
+        report = minimize_phi(spec)
+        return report, [{name for name in self.COLUMNS if name in vars(t)} for t in tables]
+
+    @pytest.mark.parametrize("n", [3, 16, 1000])
+    def test_general_solve(self, monkeypatch, n):
+        rng = np.random.default_rng([n, 88])
+        for _ in range(5):
+            report, formed = self.formed(monkeypatch, random_spec(rng, n))
+            assert formed[-1] == self.REPORTED
+            assert formed[:-1].count(self.OUTER) == report.iterations - 1
+            assert all(f in (self.INNER, self.OUTER) for f in formed[:-1])
+
+    def test_equal_means_solve(self, monkeypatch):
+        spec = MomentSpec(mu=(0.5,) * 6, sigma=(0.3, 0.4, 0.5, 0.6, 0.7, 0.8))
+        report, formed = self.formed(monkeypatch, spec)
+        assert report.iterations == 0
+        assert formed[-1] == self.REPORTED - {"dgap_dc", "dp0_dc"}
+        assert all(f == self.INNER for f in formed[:-1])
