@@ -284,20 +284,20 @@ def univariate_extremal(mu: float, sigma: float, c: float, lam: float) -> ThreeP
     return _three_point_laws(mass_table((mu,), (sigma,), c, lam))[0]
 
 
-def _optimal_table(spec: MomentSpec, p: DualPoint) -> MassTable:
-    """The mass table at ``p``, which must be the optimum.
+def _optimal_table(table: MassTable) -> MassTable:
+    """``table``, which must be the table at the optimum.
 
     At the optimal point the masses satisfy sum p_i^+ = sum p_i^- = 1; a
-    violation beyond 1e-6 means ``p`` is not the optimum and is rejected.
+    violation beyond 1e-6 means the table's point is not the optimum and
+    is rejected.
     """
-    table = mass_table(spec.mu, spec.sigma, p.c, p.lam)
     err_plus = abs(math.fsum(table.p[2].tolist()) - 1.0)
     err_minus = abs(math.fsum(table.p[0].tolist()) - 1.0)
     if max(err_plus, err_minus) > 1e-6:
         raise ValidationError(
             "upper/lower masses must each sum to 1 at the optimum "
             f"(off by {err_plus:.3e} and {err_minus:.3e}); "
-            f"(c={p.c!r}, lambda={p.lam!r}) does not minimize the objective"
+            f"(c={table.c!r}, lambda={table.lam!r}) does not minimize the objective"
         )
     return table
 
@@ -307,7 +307,7 @@ def extremal_marginals(
 ) -> tuple[tuple[ThreePointDist, ...], tuple[float, ...], tuple[float, ...]]:
     """Per-coordinate extremal laws at the optimum ``p`` plus the upper/lower
     mass vectors; a ``p`` whose masses miss 1 by more than 1e-6 is rejected."""
-    table = _optimal_table(spec, p)
+    table = _optimal_table(mass_table(*spec.arrays(), p.c, p.lam))
     return _three_point_laws(table), tuple(table.p[2].tolist()), tuple(table.p[0].tolist())
 
 
@@ -777,7 +777,7 @@ def extremal_components(spec: MomentSpec, tol: float = DEFAULT_TOL) -> ExtremalC
     two-point laws and the coupling is the unique anti-diagonal matrix.
     """
     report = rho_bound(spec, tol)
-    table = _optimal_table(spec, report.optimum)
+    table = _optimal_table(report.table)
     coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
     x_minus, x_zero, x_plus = table.points()
     joint = AttainingJoint(x_zero=x_zero, x_plus=x_plus, x_minus=x_minus, coupling=coupling)

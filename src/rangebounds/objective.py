@@ -58,6 +58,14 @@ __all__ = [
 #: Relative tolerance used to resolve ties on region boundaries.
 BOUNDARY_REL_TOL = 1e-12
 
+# The smallest floats at which the region tests on the signed margins of
+# ``MassTable.margin`` pass: m_two >= -BOUNDARY_REL_TOL for r, and
+# m_one <= BOUNDARY_REL_TOL for the ratio 2|x|/r**2.  Both margins are
+# monotone in their argument, so one comparison with each threshold gives
+# the same masks bit for bit.
+_R_TWO = 1.9999999999990001
+_RATIO_ONE = 0.999999999999
+
 #: Region names in the order of the mass table's region codes 0..3.
 REGION_NAMES = ("I1", "I2", "I3", "I4")
 
@@ -108,8 +116,16 @@ class MomentSpec:
         return math.fsum(self.mu) / self.n
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (mu, sigma) pair as float arrays, for vectorized evaluation."""
-        return np.asarray(self.mu, dtype=float), np.asarray(self.sigma, dtype=float)
+        """The (mu, sigma) pair as read-only float arrays, for vectorized
+        evaluation; formed on the first call and the same objects after."""
+        return self._arrays
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        out = np.array(self.mu, dtype=float), np.array(self.sigma, dtype=float)
+        for values in out:
+            values.setflags(write=False)
+        return out
 
     def to_json_dict(self) -> dict:
         return {"mu": list(self.mu), "sigma": list(self.sigma)}
@@ -203,8 +219,8 @@ class MassTable:
 
     Built by :func:`mass_table`, which forms only what every reader needs:
     the scaled coordinates x = (mu - c)/lambda, y = sigma/lambda, |x|,
-    r = hypot(x, y), the two relative margins and the two region masks.
-    Every other column is formed the first time it is read, from the same
+    r = hypot(x, y), the ratio 2|x|/r**2 and the two region masks.  Every
+    other column is formed the first time it is read, from the same
     per-element expressions, and kept, so a reader pays only for the
     columns it reads.  Arrays hold one entry per coordinate; ``z`` and
     ``p`` hold one row per support slot, in the order minus, zero, plus.
@@ -228,8 +244,7 @@ class MassTable:
     y: np.ndarray
     ax: np.ndarray
     r: np.ndarray
-    m_two: np.ndarray
-    m_one: np.ndarray
+    ratio: np.ndarray
     two: np.ndarray
     one: np.ndarray
 
@@ -290,7 +305,13 @@ class MassTable:
 
     @cached_property
     def margin(self) -> np.ndarray:
-        return np.minimum(np.abs(self.m_two), np.abs(self.m_one))
+        # Signed relative margins to the two-point (I1) boundary,
+        # (r**2 - 4)/max(r**2, 4), and to the one-sided (I3/I4) boundary,
+        # (r**2 - 2|x|)/max(r**2, 2|x|), written so that r is never squared.
+        r, ratio = self.r, self.ratio
+        m_two = (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
+        m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
+        return np.minimum(np.abs(m_two), np.abs(m_one))
 
     @cached_property
     def dp0_dlam(self) -> np.ndarray:
@@ -344,24 +365,21 @@ def mass_table(mu, sigma, c: float, lam: float) -> MassTable:
 
     Boundary ties within ``BOUNDARY_REL_TOL`` go to I1 first, then to
     I3/I4; the masses are continuous across every boundary, so a tie moves
-    only the bookkeeping.  This forms the two region masks; every column of
-    the returned table selects its branch with ``np.where`` on them when it
-    is first read.  Every branch is finite wherever sigma > 0, so the
-    discarded values raise no warnings.
+    only the bookkeeping.  This forms the two region masks, each as one
+    comparison of r or of 2|x|/r**2 with the exact threshold of its margin
+    test; every column of the returned table, the margins included, is
+    formed when it is first read, with ``np.where`` on the masks.  Every
+    branch is finite wherever sigma > 0, so the discarded values raise no
+    warnings.
     """
     x = (np.asarray(mu, dtype=float) - c) / lam
     y = np.asarray(sigma, dtype=float) / lam
     ax = np.abs(x)
     r = np.hypot(x, y)
-    # Signed relative margins to the two-point (I1) boundary,
-    # (r**2 - 4)/max(r**2, 4), and to the one-sided (I3/I4) boundary,
-    # (r**2 - 2|x|)/max(r**2, 2|x|), written so that r is never squared.
-    m_two = (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
     ratio = 2.0 * (ax / r) / r
-    m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
-    two = m_two >= -BOUNDARY_REL_TOL
-    one = ~two & (m_one <= BOUNDARY_REL_TOL)
-    return MassTable(float(c), float(lam), x, y, ax, r, m_two, m_one, two, one)
+    two = r >= _R_TWO
+    one = ~two & (ratio >= _RATIO_ONE)
+    return MassTable(float(c), float(lam), x, y, ax, r, ratio, two, one)
 
 
 def _require_positive_y(y: float) -> float:
@@ -410,7 +428,7 @@ def u_gradient(x: float, y: float) -> tuple[float, float]:
 
 def phi(p: DualPoint, spec: MomentSpec) -> float:
     """The dual objective phi_n(c, lambda); every value upper-bounds E R_n."""
-    return mass_table(spec.mu, spec.sigma, p.c, p.lam).phi()
+    return mass_table(*spec.arrays(), p.c, p.lam).phi()
 
 
 def phi_gradient(p: DualPoint, spec: MomentSpec) -> tuple[float, float]:
@@ -420,7 +438,7 @@ def phi_gradient(p: DualPoint, spec: MomentSpec) -> tuple[float, float]:
     forms -(1/2) sum_i U_x and -(n - 2) + (1/2) sum_i [U - x U_x - y U_y]
     at x_i = (mu_i - c)/lambda, y_i = sigma_i/lambda.
     """
-    return mass_table(spec.mu, spec.sigma, p.c, p.lam).gradient()
+    return mass_table(*spec.arrays(), p.c, p.lam).gradient()
 
 
 def classify_regions(p: DualPoint, spec: MomentSpec) -> RegionPartition:
@@ -430,7 +448,7 @@ def classify_regions(p: DualPoint, spec: MomentSpec) -> RegionPartition:
     to I3/I4 at their defining equalities; U and its gradient agree across the
     boundaries, so only the extremal-marginal bookkeeping is affected.
     """
-    return mass_table(spec.mu, spec.sigma, p.c, p.lam).partition()
+    return mass_table(*spec.arrays(), p.c, p.lam).partition()
 
 
 def u_value_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:

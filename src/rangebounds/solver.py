@@ -5,29 +5,35 @@ For n >= 3 the minimizer is unique and interior.  The solver reads
 everything it needs off the per-coordinate mass table
 (:func:`~rangebounds.objective.mass_table`): the gradient
 (sum p^- - sum p^+, sum p^0 - (n - 2)) and, from the table's derivative
-columns, the second derivatives in closed form.  Two nested roots are found
-by one safeguarded Newton iteration, ``_newton_bisect``, which takes the
-Newton step while it stays inside a certified bracket and bisects otherwise:
+columns, the second derivatives in closed form.
 
-* inner root: for fixed c, the lambda with sum_i p_i^0 = n - 2, bracketed
-  between the second-largest t_i and sum_i t_i, with
-  t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2.  The first one starts at its
-  closed form for coordinates in I1 and I2 only, lambda**2 =
-  min(sum_i t_i**2 / 2, sum_i t_i**2 - max t_i**2), exact for equal means;
-  every later one on the tangent lambda + (d lambda/dc)(c - c_prev), with
-  d lambda/dc = -phi_c,lambda / phi_lambda,lambda from the previous table,
-  which is the lambda component of the 2-D Newton step on grad phi = 0;
-* outer root: g(c) = min over lambda of phi_n(c, lambda) is convex with its
-  minimum inside [min mu_i, max mu_i]; its slope is d phi/dc at the inner
-  root and its curvature phi_cc - phi_c,lambda**2 / phi_lambda,lambda, by
-  implicit differentiation.
+* It first finds the inner root at the start c: the lambda with
+  sum_i p_i^0 = n - 2, bracketed between the second-largest t_i and
+  sum_i t_i, with t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2.  It starts at
+  its closed form for coordinates in I1 and I2 only, lambda**2 =
+  min(sum_i t_i**2 / 2, sum_i t_i**2 - max t_i**2), exact for equal means,
+  and reads only p^0 and d p^0/d lambda of each table.
+* From that table on it takes joint Newton steps on grad phi = 0 in
+  (c, lambda), one per table, solved with lambda times the Hessian, which
+  is free of units.  A step is taken only while the Hessian is positive
+  definite, c stays within [min mu_i, max mu_i] and lambda keeps at least
+  half its value.  The steps stop at float resolution (c relative to the
+  largest |mu_i|, lambda relative to itself) or once the gradient norm no
+  longer falls at its rounding level, and the table of least gradient norm
+  is reported.
+* A refused step, too many steps, or a gradient norm above the tolerance
+  hands the solve to nested roots from the start, the certified fallback:
+  an outer root in c of g(c) = min over lambda of phi_n(c, lambda), convex
+  with its minimum inside [min mu_i, max mu_i], whose slope is d phi/dc at
+  the inner root and whose curvature is phi_cc - phi_c,lambda**2 /
+  phi_lambda,lambda; every inner root after the first starts on the
+  tangent of c -> lambda*(c).
 
-Both roots stop at float resolution: lambda relative to itself, c relative
-to the largest |mu_i|, and either one as soon as a Newton step leaves its
-function unchanged.  A start is only a first guess: the bracket is kept, so
-a poor one costs a bisection, never a wrong root.  n = 2 is special (the
-minimizing set is a segment touching lambda = 0) and is served by a closed
-form.
+Both nested roots use one safeguarded Newton iteration, ``_newton_bisect``,
+which takes the Newton step while it stays inside a certified bracket and
+bisects otherwise, so a poor start costs a bisection, never a wrong root.
+n = 2 is special (the minimizing set is a segment touching lambda = 0) and
+is served by a closed form.
 
 The module also provides every comparison bound: the mean-spread-plus-
 variance bound ``ag_bound`` and its weighted-sum generalization, the i.i.d.
@@ -40,7 +46,7 @@ correlation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,6 +74,13 @@ DEFAULT_TOL = 1e-10
 #: Relative float resolution at which the scalar roots stop.
 _EPS = 2.0**-52
 
+#: Ulps in the rounding level of the gradient, below which the joint
+#: Newton steps stop once its norm no longer falls.
+_FLOOR_ULPS = 4.0
+
+#: Most tables the joint Newton steps read before the nested roots take over.
+_MAX_JOINT_STEPS = 20
+
 #: Relative margin below which a coordinate at the optimum is considered to
 #: sit on a region boundary, degenerating the partition bookkeeping.
 BOUNDARY_FLAG_REL = 1e-9
@@ -81,8 +94,11 @@ class BoundReport:
     expected range can be driven arbitrarily close to it, never below it);
     ``rho`` is the tight upper bound; ``ag`` the closed-form comparison
     bound, so infimum <= rho <= ag always.  ``residual`` is the Euclidean
-    norm of the phi gradient at ``optimum``; ``iterations`` counts outer
-    search steps (closed forms report 0).
+    norm of the phi gradient at ``optimum``; ``iterations`` counts the mass
+    tables whose gradient and Hessian the search read (closed forms report
+    0).  ``table`` is the mass table at ``optimum``, which the regions and
+    the residual are read off; it is left out of comparisons, of the repr
+    and of the JSON.
     """
 
     rho: float
@@ -93,6 +109,7 @@ class BoundReport:
     method: str
     iterations: int
     residual: float
+    table: MassTable = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,6 +326,7 @@ def _report(
         method=method,
         iterations=iterations,
         residual=math.hypot(*table.gradient()),
+        table=table,
     )
 
 
@@ -332,7 +350,7 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
     w1, w2 = (math.ldexp(s, -math.frexp(max(s1, s2))[1]) for s in (s1, s2))
     c0 = math.ldexp((w1 * u2 + w2 * u1) / (w1 + w2), e_mu)
     lam0 = math.ldexp(math.ldexp(rho, -e_rho) * min(w1, w2) / (2.0 * (w1 + w2)), e_rho)
-    table = mass_table(spec.mu, spec.sigma, c0, lam0)
+    table = mass_table(*spec.arrays(), c0, lam0)
     return _report(spec, table, rho, "n2-closed-form", 0)
 
 
@@ -401,37 +419,21 @@ def _inner_table(
     return table
 
 
-def minimize_phi(
-    spec: MomentSpec,
-    tol: float = DEFAULT_TOL,
-    *,
-    c_start: float | None = None,
-) -> BoundReport:
-    """Unique minimizer of phi_n for n >= 3, with gradient norm <= tol.
+def _nested_solve(
+    mu: np.ndarray, sigma: np.ndarray, lo: float, hi: float, c_start: float | None
+) -> tuple[MassTable, int]:
+    """The table at the minimizer by nested roots, and the outer steps taken.
 
-    The outer root starts at ``c_start`` when it lies strictly between the
-    smallest and largest mean, and at the midpoint otherwise; any start
-    converges to the same optimum, which is how the restart-agreement checks
-    exercise uniqueness.  ``iterations`` counts the outer steps.
+    The outer root is over c in [lo, hi], lo < hi, of g(c) = min over
+    lambda of phi(c, lambda): its slope is d phi/dc at the inner root and
+    its curvature phi_cc - phi_c,lambda**2 / phi_lambda,lambda, by implicit
+    differentiation.  Every inner root after the first starts on the
+    tangent of c -> lambda*(c) at the last table.
     """
-    if float(tol) <= 0.0:
-        raise ValidationError("tol must be positive")
-    if spec.n == 2:
-        raise ValidationError(
-            "n = 2 has a segment of minimizers; use rho2_closed instead"
-        )
-    mu, sigma = spec.arrays()
-    lo, hi = float(mu.min()), float(mu.max())
     table = None
     lam_slope = 0.0
 
     def slope(c: float) -> tuple[float, float]:
-        """g'(c) = d phi/dc at the inner root, and g''(c) by implicit differentiation.
-
-        The inner root starts on the tangent of c -> lambda*(c) at the last
-        table, d lambda*/dc = -phi_c,lambda / phi_lambda,lambda: the lambda
-        component of the 2-D Newton step on grad phi = 0.
-        """
         nonlocal table, lam_slope
         start = None if table is None else table.lam + lam_slope * (c - table.c)
         table = _inner_table(mu, sigma, c, start)
@@ -448,14 +450,101 @@ def minimize_phi(
             lam_slope = curvature = 0.0
         return table.gradient()[0], curvature
 
-    # The slope is negative at min mu and positive at max mu unless all
-    # means are equal, when the bracket is a single point.
+    # c is resolved to the float resolution of the means, not of c itself,
+    # which near 0 is finer than any mu_i - c can carry.
+    _, steps = _newton_bisect(slope, lo, hi, c_start, _EPS * max(abs(lo), abs(hi)))
+    return table, steps
+
+
+def _joint_newton(
+    mu: np.ndarray, sigma: np.ndarray, lo: float, hi: float, c: float
+) -> tuple[MassTable | None, int]:
+    """The table at the minimizer by Newton steps on grad phi = 0 in (c, lambda).
+
+    Starts at the inner root at ``c``, then takes one step per table, with
+    the Hessian [[phi_cc, phi_c,lambda], [phi_c,lambda, phi_lambda,lambda]]
+    from its derivative columns.  Each of those columns is of order
+    1/lambda, so the system is solved with lambda times the Hessian, which
+    is free of units and cannot overflow at any scale of the spec.  Stops
+    once a step is below float resolution in both coordinates (c relative
+    to the largest |mu_i|, lambda relative to itself), which includes a
+    step that leaves the point where it is, or once the gradient norm no
+    longer falls while it is at its rounding level; returns the table of
+    smallest gradient norm and the number of tables read.  Returns None for
+    the table when a step is refused, because the Hessian is not positive
+    definite, c would leave [lo, hi] or lambda would fall below half its
+    value, or when ``_MAX_JOINT_STEPS`` tables pass without a stop.
+    """
+    scale = max(abs(lo), abs(hi))
+    table = _inner_table(mu, sigma, c, None)
+    best, best_norm = table, math.inf
+    for steps in range(1, _MAX_JOINT_STEPS + 1):
+        g_c, g_lam = table.gradient()
+        lam = table.lam
+        h_cc = lam * float(table.dgap_dc.sum())
+        h_cl = lam * float(table.dp0_dc.sum())
+        h_ll = lam * float(table.dp0_dlam.sum())
+        norm = math.hypot(g_c, g_lam)
+        # The rounding level of the gradient: its sums of n masses, and
+        # how far it moves over one float step of c, at the scale of the
+        # means, and of lambda.
+        floor = _FLOOR_ULPS * _EPS * (
+            mu.size + (abs(h_cc) + abs(h_cl)) * (scale / lam) + abs(h_cl) + abs(h_ll)
+        )
+        if norm < best_norm:
+            best, best_norm = table, norm
+        elif best_norm <= floor:
+            return best, steps
+        det = h_cc * h_ll - h_cl * h_cl
+        if not (h_ll > 0.0 and det > 0.0):
+            return None, steps
+        step_c = lam * ((h_ll * g_c - h_cl * g_lam) / det)
+        step_lam = lam * ((h_cc * g_lam - h_cl * g_c) / det)
+        c_next, lam_next = table.c - step_c, lam - step_lam
+        if not (lo <= c_next <= hi and lam_next >= 0.5 * lam):
+            return None, steps
+        if abs(step_c) <= _EPS * scale and abs(step_lam) <= _EPS * lam:
+            return best, steps
+        table = mass_table(mu, sigma, c_next, lam_next)
+    return None, _MAX_JOINT_STEPS
+
+
+def minimize_phi(
+    spec: MomentSpec,
+    tol: float = DEFAULT_TOL,
+    *,
+    c_start: float | None = None,
+) -> BoundReport:
+    """Unique minimizer of phi_n for n >= 3, with gradient norm <= tol.
+
+    The search starts at ``c_start`` when it lies strictly between the
+    smallest and largest mean, and at the midpoint otherwise; any start
+    converges to the same optimum, which is how the restart-agreement checks
+    exercise uniqueness.  It finds the inner root lambda*(c) at the start,
+    then takes joint Newton steps in (c, lambda); when a step is refused,
+    or the steps end with a gradient norm above ``tol``, it solves again
+    from the start by nested roots.  ``iterations`` counts the tables whose
+    gradient and Hessian were read: one per joint step, and one per outer
+    step of the nested roots.
+    """
+    if float(tol) <= 0.0:
+        raise ValidationError("tol must be positive")
+    if spec.n == 2:
+        raise ValidationError(
+            "n = 2 has a segment of minimizers; use rho2_closed instead"
+        )
+    mu, sigma = spec.arrays()
+    lo, hi = float(mu.min()), float(mu.max())
+    # The slope in c is negative at min mu and positive at max mu unless
+    # all means are equal, when the bracket is a single point.
     if lo == hi:
         table, iterations = _inner_table(mu, sigma, lo, None), 0
     else:
-        # c is resolved to the float resolution of the means, not of c
-        # itself, which near 0 is finer than any mu_i - c can carry.
-        _, iterations = _newton_bisect(slope, lo, hi, c_start, _EPS * max(abs(lo), abs(hi)))
+        start = c_start if c_start is not None and lo < c_start < hi else 0.5 * (lo + hi)
+        table, iterations = _joint_newton(mu, sigma, lo, hi, start)
+        if table is None or math.hypot(*table.gradient()) > tol:
+            table, nested = _nested_solve(mu, sigma, lo, hi, c_start)
+            iterations += nested
     method = "general-solver"
     if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"

@@ -10,7 +10,8 @@ rational arithmetic, the greedy coupling with linear scans and a full
 ``json.dumps`` of the full payload.  So do the earlier forms of two hot
 paths, kept for bit-for-bit comparison: the mass-table kernel that
 selected its branches with ``np.choose`` and formed every column at once,
-and the closed-form bounds as scalar loops.
+with its region masks as tests on the signed margins, and the closed-form
+bounds as scalar loops.
 """
 
 from __future__ import annotations
@@ -377,19 +378,59 @@ class ChosenTable(NamedTuple):
     dp0_dc: np.ndarray
 
 
+def margin_two(r):
+    """Signed relative margin (r**2 - 4)/max(r**2, 4) to the two-point boundary."""
+    return (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
+
+
+def margin_one(ratio):
+    """Signed relative margin to the one-sided boundary, from ratio = 2|x|/r**2."""
+    return 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
+
+
+def two_by_margin(r):
+    """The two-point (I1) mask as the test on its margin."""
+    return margin_two(r) >= -BOUNDARY_REL_TOL
+
+
+def one_by_margin(ratio):
+    """The one-sided (I3/I4) test on its margin, before I1 takes precedence."""
+    return margin_one(ratio) <= BOUNDARY_REL_TOL
+
+
+def smallest_passing(test, below: float, above: float) -> float:
+    """The smallest float in (below, above] at which ``test`` holds.
+
+    Bisects over the bit patterns of positive floats, which are ordered as
+    their values; ``test`` must fail at ``below``, hold at ``above`` and
+    be monotone in between.
+    """
+    lo, hi = (int(np.float64(v).view(np.int64)) for v in (below, above))
+    assert not test(np.float64(below)) and test(np.float64(above))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if test(np.int64(mid).view(np.float64)):
+            hi = mid
+        else:
+            lo = mid
+    return float(np.int64(hi).view(np.float64))
+
+
+def mask_thresholds() -> tuple[float, float]:
+    """The smallest r at which the two-point test holds, and the smallest
+    ratio at which the one-sided test does."""
+    return smallest_passing(two_by_margin, 1.0, 2.0), smallest_passing(one_by_margin, 0.5, 1.0)
+
+
 def mass_table_by_choose(mu, sigma, c: float, lam: float) -> ChosenTable:
     """The mass table with each output chosen by region code via ``np.choose``."""
     x = (np.asarray(mu, dtype=float) - c) / lam
     y = np.asarray(sigma, dtype=float) / lam
     ax = np.abs(x)
     r = np.hypot(x, y)
-    m_two = (0.5 * np.minimum(r, 2.0)) ** 2 - (2.0 / np.maximum(r, 2.0)) ** 2
     ratio = 2.0 * (ax / r) / r
-    m_one = 1.0 / np.maximum(ratio, 1.0) - np.minimum(ratio, 1.0)
     region = np.where(
-        m_two >= -BOUNDARY_REL_TOL,
-        0,
-        np.where(m_one <= BOUNDARY_REL_TOL, np.where(x > 0.0, 2, 3), 1),
+        two_by_margin(r), 0, np.where(one_by_margin(ratio), np.where(x > 0.0, 2, 3), 1)
     )
     g = x / r
     k1 = (y / r) ** 2 / r
@@ -419,7 +460,7 @@ def mass_table_by_choose(mu, sigma, c: float, lam: float) -> ChosenTable:
         region=region,
         z=z,
         p=p,
-        margin=np.minimum(np.abs(m_two), np.abs(m_one)),
+        margin=np.minimum(np.abs(margin_two(r)), np.abs(margin_one(ratio))),
         dp0_dlam=np.choose(region, (0.0, 0.5 * r2, k3, k3)) / lam,
         dgap_dc=np.choose(region, (k1, 0.5, k3, k3)) / lam,
         dp0_dc=np.choose(region, (0.0, 0.5 * x, k3, -k3)) / lam,

@@ -25,6 +25,8 @@ from rangebounds import (
     univariate_extremal,
     zero_trace_coupling,
 )
+from rangebounds import extremal
+from rangebounds.objective import mass_table
 
 
 @pytest.mark.parametrize(
@@ -189,6 +191,30 @@ class TestBuildExtremalJoint:
         assert len(joint.support) == 2
         assert expected_range(joint) == pytest.approx(5.0, abs=1e-12)
         assert check_moments(joint, spec, tol=1e-10).passed
+
+
+class TestComponentsReuseTheReportedTable:
+    SPECS = [
+        MomentSpec(mu=(0.0, 3.0), sigma=(1.0, 3.0)),
+        MomentSpec(mu=(2.0, 2.0, 2.0, 2.0), sigma=(1.0, 0.5, 2.0, 1.5)),
+        MomentSpec(mu=(-1.0, 0.3, 2.0, 0.8), sigma=(1.0, 0.5, 2.0, 1.5)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["pair", "equal-means", "general"])
+    def test_no_table_is_formed_again(self, monkeypatch, spec):
+        calls = []
+        monkeypatch.setattr(extremal, "mass_table", lambda *args: calls.append(args))
+        parts = extremal_components(spec)
+        assert calls == []
+        assert parts.table is parts.report.table
+        monkeypatch.undo()
+        point = parts.report.optimum
+        fresh = mass_table(spec.mu, spec.sigma, point.c, point.lam)
+        coupling = zero_trace_coupling(fresh.p[2].tolist(), fresh.p[0].tolist())
+        for got, want in zip(parts.coupling.cells, coupling.cells):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(parts.table.points(), fresh.points()):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAgTightness:

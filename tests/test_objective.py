@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import fd_gradient, mass_table_by_choose, random_spec, u_by_linprog
+from _oracles import (
+    fd_gradient,
+    mask_thresholds,
+    mass_table_by_choose,
+    one_by_margin,
+    random_spec,
+    two_by_margin,
+    u_by_linprog,
+)
 from rangebounds import (
     DualPoint,
     MomentSpec,
@@ -20,6 +29,7 @@ from rangebounds import (
     u_value,
     u_value_array,
 )
+from rangebounds import objective
 from rangebounds.objective import mass_table
 
 xs = st.floats(-6.0, 6.0)
@@ -50,6 +60,20 @@ class TestMomentSpec:
         mu, sigma = spec.arrays()
         assert mu.tolist() == [0.0, 1.0, 2.0]
         assert sigma.tolist() == [1.0, 2.0, 3.0]
+
+    def test_arrays_are_formed_once_and_read_only(self):
+        spec = MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 2.0, 3.0))
+        first, again = spec.arrays(), spec.arrays()
+        assert all(a is b for a, b in zip(first, again))
+        for values in first:
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 5.0
+        twin = MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 2.0, 3.0))
+        assert twin == spec and hash(twin) == hash(spec)
+        moved = dataclasses.replace(spec, mu=(0.0, 1.0, 4.0))
+        assert moved.arrays()[0].tolist() == [0.0, 1.0, 4.0]
+        assert spec.arrays()[0].tolist() == [0.0, 1.0, 2.0]
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -399,3 +423,47 @@ class TestMassTableAgainstChoose:
             c = a * rng.uniform(-3.0, 3.0)
             lam = a * 10.0 ** rng.uniform(-1.5, 1.5)
             self.assert_same(spec, c, lam)
+
+
+class TestRegionMaskThresholds:
+    """The kernel forms its region masks as one comparison each, of r and of
+    2|x|/r**2, with a threshold; they must equal the tests on the signed
+    margins, which the oracle keeps, at every float."""
+
+    def floats_around(self, threshold, ulps=2_000_000):
+        bits = np.float64(threshold).view(np.int64)
+        return np.arange(bits - ulps, bits + ulps + 1, dtype=np.int64).view(np.float64)
+
+    def test_thresholds_are_the_smallest_passing_floats(self):
+        assert mask_thresholds() == (objective._R_TWO, objective._RATIO_ONE)
+
+    def test_masks_equal_the_margin_tests(self):
+        rng = np.random.default_rng(43)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for chunk in range(5):
+                wide = 10.0 ** rng.uniform(-300.0, 300.0, 1_000_000)
+                r = np.concatenate((wide, [0.0, math.inf, math.nan]))
+                if chunk == 0:
+                    r = np.concatenate((r, self.floats_around(objective._R_TWO)))
+                ratio = np.concatenate((wide, [0.0, math.inf, math.nan]))
+                if chunk == 0:
+                    ratio = np.concatenate((ratio, self.floats_around(objective._RATIO_ONE)))
+                assert np.array_equal(r >= objective._R_TWO, two_by_margin(r))
+                assert np.array_equal(ratio >= objective._RATIO_ONE, one_by_margin(ratio))
+
+    def test_kernel_masks_near_both_boundaries(self):
+        """With x = 0, r is sigma exactly; on the circle r**2 = 2|x| (1 - d),
+        the ratio is within rounding of 1/(1 - d)."""
+        near_two = self.floats_around(objective._R_TWO, 200_000)
+        rng = np.random.default_rng(44)
+        d = rng.uniform(-4e-12, 4e-12, 400_000)
+        x = rng.uniform(0.05, 1.95, d.size) * rng.choice((-1.0, 1.0), d.size)
+        y = np.sqrt(2.0 * np.abs(x) * (1.0 - d) - x * x)
+        mu = np.concatenate((np.zeros(near_two.size), x))
+        sigma = np.concatenate((near_two, y))
+        table = mass_table(mu, sigma, 0.0, 1.0)
+        two = two_by_margin(table.r)
+        assert np.array_equal(table.two, two)
+        assert np.array_equal(table.one, ~two & one_by_margin(table.ratio))
+        assert table.two[: near_two.size].sum() == 200_001
+        assert 0 < table.one[near_two.size :].sum() < d.size
