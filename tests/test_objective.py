@@ -439,17 +439,11 @@ class TestRegionMaskThresholds:
 
     def test_masks_equal_the_margin_tests(self):
         rng = np.random.default_rng(43)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for chunk in range(5):
-                wide = 10.0 ** rng.uniform(-300.0, 300.0, 1_000_000)
-                r = np.concatenate((wide, [0.0, math.inf, math.nan]))
-                if chunk == 0:
-                    r = np.concatenate((r, self.floats_around(objective._R_TWO)))
-                ratio = np.concatenate((wide, [0.0, math.inf, math.nan]))
-                if chunk == 0:
-                    ratio = np.concatenate((ratio, self.floats_around(objective._RATIO_ONE)))
-                assert np.array_equal(r >= objective._R_TWO, two_by_margin(r))
-                assert np.array_equal(ratio >= objective._RATIO_ONE, one_by_margin(ratio))
+        near = (self.floats_around(objective._R_TWO), self.floats_around(objective._RATIO_ONE))
+        wide = (10.0 ** rng.uniform(-300.0, 300.0, 1_000_000) for _ in range(5))
+        for values in (*near, np.array([0.0, math.inf, math.nan]), *wide):
+            assert np.array_equal(values >= objective._R_TWO, two_by_margin(values))
+            assert np.array_equal(values >= objective._RATIO_ONE, one_by_margin(values))
 
     def test_kernel_masks_near_both_boundaries(self):
         """With x = 0, r is sigma exactly; on the circle r**2 = 2|x| (1 - d),

@@ -479,6 +479,25 @@ class TestEvaluationCount:
         assert statistics.median(equal) <= 3
 
 
+def record_solve(monkeypatch):
+    """Record every mass table the solver forms and, for each nested
+    fallback, the number of tables formed before it and its result."""
+    tables, runs = [], []
+    nested = solver._nested_solve
+
+    def table(*args):
+        tables.append(mass_table(*args))
+        return tables[-1]
+
+    def fallback(*args):
+        runs.append((len(tables), nested(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(solver, "mass_table", table)
+    monkeypatch.setattr(solver, "_nested_solve", fallback)
+    return tables, runs
+
+
 class TestColumnsFormed:
     """Which mass-table columns a solve forms: a cost that reads the same on
     any machine.  The inner root at the start reads p^0 and d p^0/d lambda
@@ -494,23 +513,11 @@ class TestColumnsFormed:
     def formed(self, monkeypatch, spec):
         """The report, the columns each table formed, the index of the
         reported table, and whether the nested roots ran."""
-        tables, nested = [], []
-
-        def recording(*args):
-            tables.append(mass_table(*args))
-            return tables[-1]
-
-        def fallback(*args):
-            nested.append(args)
-            return nested_solve(*args)
-
-        nested_solve = solver._nested_solve
-        monkeypatch.setattr(solver, "mass_table", recording)
-        monkeypatch.setattr(solver, "_nested_solve", fallback)
+        tables, runs = record_solve(monkeypatch)
         report = minimize_phi(spec)
         formed = [{name for name in self.COLUMNS if name in vars(t)} for t in tables]
         [reported] = [k for k, t in enumerate(tables) if t is report.table]
-        return report, formed, reported, bool(nested)
+        return report, formed, reported, bool(runs)
 
     @pytest.mark.parametrize("n", [3, 16, 1000])
     def test_general_solve(self, monkeypatch, n):
@@ -587,19 +594,7 @@ class TestJointNewtonFallback:
         ids=["lambda-below-zero", "lambda-falls", "c-leaves-bracket", "singular-hessian"],
     )
     def test_refused_step_runs_the_nested_solve(self, monkeypatch, mu, sigma, c_start, singular):
-        runs, tables = [], []
-        nested = solver._nested_solve
-
-        def recording(*args):
-            runs.append((len(tables), nested(*args)))
-            return runs[-1][1]
-
-        def recording_tables(*args):
-            tables.append(mass_table(*args))
-            return tables[-1]
-
-        monkeypatch.setattr(solver, "_nested_solve", recording)
-        monkeypatch.setattr(solver, "mass_table", recording_tables)
+        tables, runs = record_solve(monkeypatch)
         report = minimize_phi(MomentSpec(mu=mu, sigma=sigma), c_start=c_start)
         [(joint_tables, (table, outer))] = runs
         assert report.table is table
