@@ -220,13 +220,21 @@ def _run_extremal(config: CliConfig) -> int:
     return 0
 
 
+#: Ulps of the largest |mu_i| that a law's expected range may stray from rho
+#: on top of 1e-9 rho: the law's points are representable only to that
+#: resolution.  On 1,500 general specs translated by 1e5 to 1e8 sigma, the
+#: exact expected range of the rebuilt law strayed by less than one.
+_ATTAIN_ULPS = 8
+
+
 def _joint_agrees(
     joint: JointDiscreteDistribution | AttainingJoint, spec: MomentSpec, rho: float, tol: float
 ) -> tuple[MomentCheckReport, bool]:
+    """The moment check of ``joint`` and whether it passes and attains rho."""
     check = check_moments(joint, spec, tol=tol)
     gap = abs(check.expected_range - rho)
-    ok = check.passed and gap <= 1e-9 * (1.0 + rho)
-    return check, ok
+    slack = 1e-9 * rho + _ATTAIN_ULPS * math.ulp(max(map(abs, spec.mu)))
+    return check, check.passed and gap <= slack
 
 
 def _run_verify(config: CliConfig) -> int:
@@ -243,7 +251,9 @@ def _run_verify(config: CliConfig) -> int:
     check, rebuilt_ok = _joint_agrees(parts.joint, spec, rho, moment_tol)
     exact = check.expected_range
     estimate, std_error = mc_expected_range(parts.joint, config.samples, seed=config.seed)
-    mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12
+    # The floor covers the rounding of the estimate's own mean when every
+    # sampled range is the same and the standard error is 0.
+    mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12 * exact
     embedded_ok: bool | None = None
     if embedded is not None:
         _, embedded_ok = _joint_agrees(embedded, spec, rho, moment_tol)

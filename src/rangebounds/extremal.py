@@ -92,7 +92,7 @@ class ThreePointDist:
             raise ValidationError(f"probabilities sum to {total!r}, not 1")
         if min(self.p_minus, self.p_zero, self.p_plus) < 0.0:
             raise ValidationError("probabilities must be nonnegative")
-        slack = 1e-9 * (1.0 + abs(self.c) + self.lam)
+        slack = 1e-9 * (abs(self.c) + self.lam)
         ordered = (
             self.x_minus < self.c - self.lam + slack
             and self.c - self.lam < self.x_zero + slack
@@ -409,7 +409,12 @@ def _coupling_by_greedy(
     is 1e-14, about 45 ulps of the total mass 1, or n ulps of m when that
     is larger: m sums n rounded masses that the solver balances only to its
     residual, so the tail masses of a star with n = 200 sum to 1 + 1.3e-14.
-    Once m is within ``tol`` of 0 every index counts as forced.
+    Once m is within ``tol`` of 0 every index counts as forced.  A forced
+    row or column with no mass left receives none: what the other side
+    still holds is then rounding residue, since in exact arithmetic the
+    forced row k carries the rest of every column and the forced column k
+    the rest of every row.  Given to a coordinate whose tail mass is 0, it
+    would put mass on that coordinate's fill point.
     """
     n = len(p)
     cells: dict[tuple[int, int], float] = {}
@@ -422,12 +427,14 @@ def _coupling_by_greedy(
         tol = max(_MASS_EPS, n * _EPS * m)
         k = _largest(by_sum, sums)
         if sums[k] >= m - tol:
-            for i in range(n):
-                if i != k and pt[i] > 0.0:
-                    cells[i, k] = cells.get((i, k), 0.0) + pt[i]
-            for j in range(n):
-                if j != k and qt[j] > 0.0:
-                    cells[k, j] = cells.get((k, j), 0.0) + qt[j]
+            if qt[k] > 0.0:
+                for i in range(n):
+                    if i != k and pt[i] > 0.0:
+                        cells[i, k] = cells.get((i, k), 0.0) + pt[i]
+            if pt[k] > 0.0:
+                for j in range(n):
+                    if j != k and qt[j] > 0.0:
+                        cells[k, j] = cells.get((k, j), 0.0) + qt[j]
             break
         if pt[k] >= qt[k]:
             row, col = k, _largest(by_q, qt, (k,))
@@ -808,7 +815,6 @@ def ag_tightness(
     of :func:`perturb_coupling`.  It is None only when the bound is not
     tight.
     """
-    mu, sigma = spec.mu, spec.sigma
     mb = spec.mu_bar
     # In units of 2**e the squares cannot overflow, and (i) and (ii) are
     # homogeneous of degree 2, so the verdicts are those of the raw values.
@@ -822,9 +828,10 @@ def ag_tightness(
     if not (cond_i and cond_ii):
         return False, None, None
     ag = math.ldexp(ag_unit, e)
-    # (mu_bar, AG/4) is then the dual optimum, with every coordinate in I2
-    # or on its boundary, and the table there gives the tail masses.
-    table = mass_table(mu, sigma, mb, 0.25 * ag)
+    # (mu_bar, AG/4) is then the dual optimum, (0, AG/4) in the frame, with
+    # every coordinate in I2 or on its boundary, and the table there gives
+    # the tail masses.
+    table = mass_table(d, s, 0.0, 0.25 * ag_unit)
     tails = table.p[2] + table.p[0]
     coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
     unique = float(tails.max()) >= 1.0 - 1e-12 or perturb_coupling(coupling) is None

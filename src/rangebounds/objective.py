@@ -327,6 +327,20 @@ class MassTable:
         k3 = self.k3
         return self._pick(0.0, 0.5 * self.x, np.where(self.right, k3, -k3)) / self.lam
 
+    def rescaled(self, c: float, lam: float) -> "MassTable":
+        """The same table at the point (c, lambda) of another unit frame.
+
+        x, y and every column but the three derivatives are free of units,
+        so they carry over as already formed; the derivatives, of order
+        1/lambda, are formed again if read.
+        """
+        # A copy of the instance's fields and formed columns, which the
+        # dataclass's __init__ would only set again one by one.
+        table = object.__new__(MassTable)
+        vars(table).update((k, v) for k, v in vars(self).items() if k not in _PER_LAMBDA)
+        vars(table).update(c=float(c), lam=float(lam))
+        return table
+
     def points(self) -> np.ndarray:
         """Support points (x^-, x^0, x^+) in the units of the spec."""
         return self.c + self.lam * self.z
@@ -348,6 +362,11 @@ class MassTable:
         return RegionPartition(
             *(tuple(np.flatnonzero(self.region == k).tolist()) for k in range(4))
         )
+
+
+#: The columns in units of 1/lambda, which ``MassTable.rescaled`` does not
+#: carry over.
+_PER_LAMBDA = frozenset(("dp0_dlam", "dgap_dc", "dp0_dc"))
 
 
 def mass_table(mu, sigma, c: float, lam: float) -> MassTable:

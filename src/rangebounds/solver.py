@@ -1,7 +1,11 @@
 """Minimization of the dual objective and the closed-form comparison bounds.
 
 The tight bound rho_n is the infimum of phi_n over (c, lambda), lambda > 0.
-For n >= 3 the minimizer is unique and interior.  The solver reads
+For n >= 3 the minimizer is unique and interior.  The bound is
+affine-equivariant, so every solve, and every mass table of the closed
+forms, runs in the spec's unit frame (:func:`scaled_deviations`): the means
+centred at their mean and, with the sigmas, divided by a power of two of
+their spread.  Only the reported point is mapped back.  The solver reads
 everything it needs off the per-coordinate mass table
 (:func:`~rangebounds.objective.mass_table`): the gradient
 (sum p^- - sum p^+, sum p^0 - (n - 2)) and, from the table's derivative
@@ -18,9 +22,9 @@ columns, the second derivatives in closed form.
   is free of units.  A step is taken only while the Hessian is positive
   definite, c stays within [min mu_i, max mu_i] and lambda keeps at least
   half its value.  The steps stop at float resolution (c relative to the
-  largest |mu_i|, lambda relative to itself) or once the gradient norm no
-  longer falls at its rounding level, and the table of least gradient norm
-  is reported.
+  spread of the means, lambda relative to itself) or once the gradient
+  norm no longer falls at its rounding level, and the table of least
+  gradient norm is reported.
 * A refused step, too many steps, or a gradient norm above the tolerance
   hands the solve to nested roots from the start, the certified fallback:
   an outer root in c of g(c) = min over lambda of phi_n(c, lambda), convex
@@ -85,6 +89,9 @@ _MAX_JOINT_STEPS = 20
 #: sit on a region boundary, degenerating the partition bookkeeping.
 BOUNDARY_FLAG_REL = 1e-9
 
+#: The spec's unit frame, as :func:`scaled_deviations` returns it.
+_Frame = tuple[np.ndarray, np.ndarray, int]
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -125,14 +132,22 @@ class BoundReport:
         }
 
 
-def scaled_deviations(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, int]:
-    """(mu_i - mu_bar) / 2**e, sigma_i / 2**e, and e.
+def scaled_deviations(spec: MomentSpec) -> _Frame:
+    """The spec's unit frame: (mu_i - mu_bar) / 2**e, sigma_i / 2**e, and e.
 
-    2**e is the power of two just above the largest of these magnitudes, so
-    the scaled values lie below 1 and their squares cannot overflow.
-    Division by a power of two is exact: a quantity of degree k computed
-    from the scaled values, times 2**(k e), is bit-identical to the same
-    computation on the raw values wherever that one does not overflow.
+    This is the one place that knows the spec's offset and scale.  2**e is
+    the power of two just above the largest |mu_i - mu_bar| or sigma_i, so
+    the frame's values lie below 1, the largest at least 1/2, and their
+    squares can neither overflow nor lose the spread to the offset.  The
+    bound is affine-equivariant, rho(a mu + b, |a| sigma) = |a| rho(mu,
+    sigma), so every solve and every mass table of the closed forms works
+    in this frame, and only the reported point is mapped back, as
+    c = mu_bar + 2**e c' and lambda = 2**e lambda'.  The centring is the
+    one rounding, at most ulp(mu_i) in each deviation and none when the
+    means are within a factor of two of mu_bar; division by a power of two
+    is exact, so a quantity of degree k computed from the frame, times
+    2**(k e), is bit-identical to the same computation on the centred
+    values wherever that one does not overflow.
     """
     mu, sigma = spec.arrays()
     dev = mu - spec.mu_bar
@@ -140,20 +155,25 @@ def scaled_deviations(spec: MomentSpec) -> tuple[np.ndarray, np.ndarray, int]:
     return np.ldexp(dev, -e), np.ldexp(sigma, -e), e
 
 
-def _dispersion(spec: MomentSpec) -> tuple[float, int]:
-    """S / 4**e and e, S = sum_i [(mu_i - mu_bar)**2 + sigma_i**2].
+def _dispersion(frame: _Frame) -> tuple[float, int]:
+    """S / 4**e and e, S = sum_i [(mu_i - mu_bar)**2 + sigma_i**2], from the
+    spec's unit frame (:func:`scaled_deviations`).
 
     ``np.float_power`` squares with the C library's ``pow``, as Python's
     ``**`` does, so the sum is bit-identical to a scalar loop of ``d**2``.
     """
-    dev, sig, e = scaled_deviations(spec)
+    dev, sig, e = frame
     return math.fsum((np.float_power(dev, 2.0) + sig * sig).tolist()), e
+
+
+def _ag_bound(frame: _Frame) -> float:
+    total, e = _dispersion(frame)
+    return math.ldexp(math.sqrt(2.0 * total), e)
 
 
 def ag_bound(spec: MomentSpec) -> float:
     """Closed-form upper bound sqrt(2 * sum_i [(mu_i - mu_bar)**2 + sigma_i**2])."""
-    total, e = _dispersion(spec)
-    return math.ldexp(math.sqrt(2.0 * total), e)
+    return _ag_bound(scaled_deviations(spec))
 
 
 def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
@@ -170,7 +190,7 @@ def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
         )
     c_sum = math.fsum(cs.tolist())
     spread = math.fsum(np.float_power(cs - c_sum / cs.size, 2.0).tolist())
-    total, e = _dispersion(spec)
+    total, e = _dispersion(scaled_deviations(spec))
     return spec.mu_bar * c_sum + math.ldexp(math.sqrt(spread) * math.sqrt(total), e)
 
 
@@ -314,19 +334,27 @@ def _infimum(spec: MomentSpec) -> float:
 
 
 def _report(
-    spec: MomentSpec, table: MassTable, rho: float, method: str, iterations: int
+    spec: MomentSpec, frame: _Frame, table: MassTable, rho: float, method: str, iterations: int
 ) -> BoundReport:
-    """The report at the table's point."""
+    """The report at the point of ``table``, a table in the spec's unit
+    ``frame`` (:func:`scaled_deviations`).
+
+    The regions and the residual are free of units and read off the frame's
+    table; its point is mapped back to the spec's units, once, and the
+    reported table is the same table at that point.
+    """
+    e = frame[2]
+    c, lam = spec.mu_bar + math.ldexp(table.c, e), math.ldexp(table.lam, e)
     return BoundReport(
         rho=rho,
-        optimum=DualPoint(c=table.c, lam=table.lam),
+        optimum=DualPoint(c=c, lam=lam),
         regions=table.partition(),
-        ag=ag_bound(spec),
+        ag=_ag_bound(frame),
         infimum=_infimum(spec),
         method=method,
         iterations=iterations,
         residual=math.hypot(*table.gradient()),
-        table=table,
+        table=table.rescaled(c, lam),
     )
 
 
@@ -341,17 +369,11 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
         raise ValidationError(f"closed form requires n = 2, got n = {spec.n}")
     (m1, m2), (s1, s2) = spec.mu, spec.sigma
     rho = math.hypot(m1 - m2, s1 + s2)
-    # Both are formed with the means, the sigmas and rho each divided by a
-    # power of two of their own size, which is exact, so that no product
-    # overflows or underflows at any scale of the spec; c0 is of degree 1 in
-    # the means and lambda0 of degree 1 in rho, so each is scaled back once.
-    e_mu, e_rho = math.frexp(max(abs(m1), abs(m2)))[1], math.frexp(rho)[1]
-    u1, u2 = math.ldexp(m1, -e_mu), math.ldexp(m2, -e_mu)
-    w1, w2 = (math.ldexp(s, -math.frexp(max(s1, s2))[1]) for s in (s1, s2))
-    c0 = math.ldexp((w1 * u2 + w2 * u1) / (w1 + w2), e_mu)
-    lam0 = math.ldexp(math.ldexp(rho, -e_rho) * min(w1, w2) / (2.0 * (w1 + w2)), e_rho)
-    table = mass_table(*spec.arrays(), c0, lam0)
-    return _report(spec, table, rho, "n2-closed-form", 0)
+    frame = dev, sig, e = scaled_deviations(spec)
+    (u1, u2), (w1, w2) = dev.tolist(), sig.tolist()
+    c0 = (w1 * u2 + w2 * u1) / (w1 + w2)
+    lam0 = math.ldexp(rho, -e) * min(w1, w2) / (2.0 * (w1 + w2))
+    return _report(spec, frame, mass_table(dev, sig, c0, lam0), rho, "n2-closed-form", 0)
 
 
 def _means_equal(spec: MomentSpec) -> bool:
@@ -467,13 +489,13 @@ def _joint_newton(
     1/lambda, so the system is solved with lambda times the Hessian, which
     is free of units and cannot overflow at any scale of the spec.  Stops
     once a step is below float resolution in both coordinates (c relative
-    to the largest |mu_i|, lambda relative to itself), which includes a
-    step that leaves the point where it is, or once the gradient norm no
-    longer falls while it is at its rounding level; returns the table of
-    smallest gradient norm and the number of tables read.  Returns None for
-    the table when a step is refused, because the Hessian is not positive
-    definite, c would leave [lo, hi] or lambda would fall below half its
-    value, or when ``_MAX_JOINT_STEPS`` tables pass without a stop.
+    to the largest |mu_i| of the frame, lambda relative to itself), which
+    includes a step that leaves the point where it is, or once the gradient
+    norm no longer falls while it is at its rounding level; returns the
+    table of smallest gradient norm and the number of tables read.  Returns
+    None for the table when a step is refused, because the Hessian is not
+    positive definite, c would leave [lo, hi] or lambda would fall below
+    half its value, or when ``_MAX_JOINT_STEPS`` tables pass without a stop.
     """
     scale = max(abs(lo), abs(hi))
     table = _inner_table(mu, sigma, c, None)
@@ -517,7 +539,9 @@ def minimize_phi(
 ) -> BoundReport:
     """Unique minimizer of phi_n for n >= 3, with gradient norm <= tol.
 
-    The search starts at ``c_start`` when it lies strictly between the
+    The search runs in the spec's unit frame (:func:`scaled_deviations`),
+    where c is resolved to the spread of the means rather than to their
+    offset.  It starts at ``c_start`` when it lies strictly between the
     smallest and largest mean, and at the midpoint otherwise; any start
     converges to the same optimum, which is how the restart-agreement checks
     exercise uniqueness.  It finds the inner root lambda*(c) at the start,
@@ -533,8 +557,10 @@ def minimize_phi(
         raise ValidationError(
             "n = 2 has a segment of minimizers; use rho2_closed instead"
         )
-    mu, sigma = spec.arrays()
+    frame = mu, sigma, e = scaled_deviations(spec)
     lo, hi = float(mu.min()), float(mu.max())
+    if c_start is not None:
+        c_start = math.ldexp(c_start - spec.mu_bar, -e)
     # The slope in c is negative at min mu and positive at max mu unless
     # all means are equal, when the bracket is a single point.
     if lo == hi:
@@ -548,7 +574,7 @@ def minimize_phi(
     method = "general-solver"
     if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"
-    report = _report(spec, table, table.phi(), method, iterations)
+    report = _report(spec, frame, table, math.ldexp(table.phi(), e), method, iterations)
     if report.residual <= tol:
         return report
     raise ConvergenceError(

@@ -149,7 +149,12 @@ def check_moments(
     computed from each coordinate's three points and three masses; those
     of a :class:`JointDiscreteDistribution` are exactly rounded sums of the
     rounded per-atom products.  The errors are ``abs(mean - mu)`` and
-    ``abs(var - sigma * sigma)`` in floating point.
+    ``abs(var - sigma * sigma)`` in floating point.  ``tol`` is relative to
+    each coordinate's own scale: the check passes when every mean error is
+    at most tol * (|mu_i| + sigma_i) and every variance error at most
+    tol * sigma_i * (|mu_i| + sigma_i).  Both bounds scale with the spec,
+    as the rounding of a law's points does, so the check is as strict at
+    every offset and scale as at unit scale.
     """
     if joint.dim != spec.n:
         raise ValidationError(
@@ -161,7 +166,10 @@ def check_moments(
         means, variances = _atom_moments(joint)
     mean_errors = [abs(mean_i - m) for mean_i, m in zip(means, spec.mu)]
     var_errors = [abs(var_i - s * s) for var_i, s in zip(variances, spec.sigma)]
-    passed = max(max(mean_errors), max(var_errors)) <= tol
+    passed = all(
+        d_mean <= tol * (abs(m) + s) and d_var <= tol * s * (abs(m) + s)
+        for d_mean, d_var, m, s in zip(mean_errors, var_errors, spec.mu, spec.sigma)
+    )
     return MomentCheckReport(
         mean_errors=tuple(mean_errors),
         var_errors=tuple(var_errors),
@@ -310,6 +318,9 @@ def infimum_witness(
     ``dispersion`` (default diag(sigma**2), realized as A V with V i.i.d.
     symmetric +/-1 and A the symmetric square root).  Its moments match the
     spec exactly while E R_n approaches max mu_i - min mu_i as epsilon -> 0.
+    ``dispersion`` is checked in units of sigma_i sigma_j: it must be
+    symmetric, carry sigma**2 on its diagonal and be nonnegative definite,
+    each to 1e-10 of those units.
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 1.0):
@@ -325,13 +336,14 @@ def infimum_witness(
         disp = np.asarray(dispersion, dtype=float)
         if disp.shape != (n, n):
             raise ValidationError(f"dispersion must be {n} x {n}, got {disp.shape}")
-        if np.max(np.abs(disp - disp.T)) > 1e-10:
+        unit = disp / sigma[:, None] / sigma[None, :]
+        if np.max(np.abs(unit - unit.T)) > 1e-10:
             raise ValidationError("dispersion must be symmetric")
-        if np.max(np.abs(np.diag(disp) - sigma**2)) > 1e-10:
+        if np.max(np.abs(np.diag(unit) - 1.0)) > 1e-10:
             raise ValidationError("dispersion diagonal must equal sigma**2")
-        eigvals, eigvecs = np.linalg.eigh(disp)
-        if eigvals.min() < -1e-10:
+        if np.linalg.eigvalsh(unit).min() < -1e-10:
             raise ValidationError("dispersion must be nonnegative definite")
+        eigvals, eigvecs = np.linalg.eigh(disp)
         root = eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
     rng = np.random.default_rng(seed)
     flags = rng.random(n_samples) < epsilon

@@ -205,14 +205,16 @@ def coupling_by_scan(p: list[float], q: list[float]) -> np.ndarray:
         sums = [pt[l] + qt[l] for l in range(n)]
         k = max(range(n), key=sums.__getitem__)
         if sums[k] >= m - tol:
-            for i in range(n):
-                if i != k and pt[i] > 0.0:
-                    out[i, k] += pt[i]
-                    pt[i] = 0.0
-            for j in range(n):
-                if j != k and qt[j] > 0.0:
-                    out[k, j] += qt[j]
-                    qt[j] = 0.0
+            if qt[k] > 0.0:
+                for i in range(n):
+                    if i != k and pt[i] > 0.0:
+                        out[i, k] += pt[i]
+                        pt[i] = 0.0
+            if pt[k] > 0.0:
+                for j in range(n):
+                    if j != k and qt[j] > 0.0:
+                        out[k, j] += qt[j]
+                        qt[j] = 0.0
             pt[k] = qt[k] = 0.0
             break
         if pt[k] >= qt[k]:
@@ -263,6 +265,18 @@ def _rounded(value: Fraction) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _within(
+    mean_errors: list[float], var_errors: list[float], spec: MomentSpec, tol: float
+) -> bool:
+    """Whether each error is within tol of its coordinate's scale: |mu| + sigma
+    for the mean, sigma (|mu| + sigma) for the variance."""
+    for d_mean, d_var, m, s in zip(mean_errors, var_errors, spec.mu, spec.sigma):
+        scale = abs(m) + s
+        if not (d_mean <= tol * scale and d_var <= tol * s * scale):
+            return False
+    return True
+
+
 def check_moments_by_fractions(
     joint: JointDiscreteDistribution, spec: MomentSpec, tol: float = 1e-10
 ) -> MomentCheckReport:
@@ -281,7 +295,7 @@ def check_moments_by_fractions(
         mean_errors=tuple(mean_errors),
         var_errors=tuple(var_errors),
         expected_range=expected_range_by_loop(joint),
-        passed=max(max(mean_errors), max(var_errors)) <= tol,
+        passed=_within(mean_errors, var_errors, spec, tol),
     )
 
 
@@ -302,7 +316,7 @@ def check_moments_by_loop(
         mean_errors=tuple(mean_errors),
         var_errors=tuple(var_errors),
         expected_range=expected_range_by_loop(joint),
-        passed=max(max(mean_errors), max(var_errors)) <= tol,
+        passed=_within(mean_errors, var_errors, spec, tol),
     )
 
 
@@ -343,13 +357,15 @@ def verify_stdout(
     parts, joint = extremal_tuples(spec)
     rho = parts.report.rho
 
+    slack = 1e-9 * rho + 8 * math.ulp(max(abs(m) for m in spec.mu))
+
     def agrees(check: MomentCheckReport) -> bool:
-        return check.passed and abs(check.expected_range - rho) <= 1e-9 * (1.0 + rho)
+        return check.passed and abs(check.expected_range - rho) <= slack
 
     check = check_moments_by_fractions(joint, spec)
     exact = expected_range_by_loop(joint)
     estimate, std_error = mc_expected_range(joint, samples, seed=seed)
-    mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12
+    mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12 * exact
     embedded_ok = None if embedded is None else agrees(check_moments_by_loop(embedded, spec))
     rebuilt_ok = agrees(check)
     payload = {

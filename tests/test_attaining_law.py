@@ -245,6 +245,21 @@ def test_star_coupling_is_forced(seed, n, a, b):
     assert np.max(np.abs(coupling.q - witness.coupling.q)) <= 1e-12
 
 
+def test_no_cell_in_a_row_or_column_without_tail_mass():
+    """At n = 10**4 the greedy's slack n eps m, 2.2e-12, exceeds the
+    rounding of the tail masses; the residue must not land in a row whose
+    p+ is 0 or a column whose p- is 0, where it puts mass on a fill point."""
+    rng = np.random.default_rng(7)
+    n = 10_000
+    mu = rng.uniform(-3.0, 3.0, n)
+    sigma = rng.uniform(0.2, 2.5, n)
+    parts = extremal_components(MomentSpec(mu=tuple(mu.tolist()), sigma=tuple(sigma.tolist())))
+    rows, cols, _ = parts.coupling.cells
+    p_minus, _, p_plus = parts.table.p
+    assert np.all(p_plus[rows] > 0.0)
+    assert np.all(p_minus[cols] > 0.0)
+
+
 def tied_marginals(rng: np.random.Generator, n: int) -> tuple[list[float], list[float]]:
     """Feasible (p, q) with many equal entries: small integers, normalised."""
     while True:

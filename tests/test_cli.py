@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 from _oracles import extremal_stdout, star_spec, verify_stdout
 
-from rangebounds import ConvergenceError, JointDiscreteDistribution, MomentSpec, ValidationError
+from rangebounds import (
+    ConvergenceError,
+    JointDiscreteDistribution,
+    MomentSpec,
+    ValidationError,
+    expected_range,
+)
+from rangebounds import cli
 from rangebounds.cli import CliConfig, main, run
+from rangebounds.verify import _probe_joints
 
 TRIPLE = '{"mu":[-1,0,1],"sigma":[1,1.7320508,1.4142136]}'
 
@@ -130,6 +138,32 @@ class TestVerifyCommand:
         assert data["pass"] is True
         assert data["embedded_joint_pass"] is True
 
+    def test_wrong_law_at_small_scale_fails(self, capsys, monkeypatch):
+        """At scale 1e-12 every error is far below an absolute tolerance: a
+        law with the right moments but a shorter expected range, and a Monte
+        Carlo estimate 0.1% off, must each fail."""
+        spec = _general(7, 1e-12, 0.0)
+        probe = next(_probe_joints(spec, 1, seed=0))
+        document = json.dumps({**spec.to_json_dict(), "joint": probe.to_json_dict()})
+        code, out, _ = run_cli(capsys, "verify", "--input", document, "--samples", "2000")
+        data = json.loads(out)
+        assert (code, data["moment_check"]["pass"], data["embedded_joint_pass"]) == (1, True, False)
+
+        def off(joint, samples, seed):
+            return 1.001 * expected_range(joint), 0.0
+
+        monkeypatch.setattr(cli, "mc_expected_range", off)
+        bare = json.dumps(spec.to_json_dict())
+        code, out, _ = run_cli(capsys, "verify", "--input", bare, "--samples", "2000")
+        assert (code, json.loads(out)["moment_check"]["pass"]) == (1, True)
+
+    def test_rebuilt_law_passes_at_a_large_offset(self, capsys):
+        spec = _general(7, 1.0, 1e8)
+        text = json.dumps(spec.to_json_dict())
+        code, out, _ = run_cli(capsys, "verify", "--input", text, "--samples", "2000")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--input", TRIPLE, "--samples", "5000", "--format", "csv"
@@ -176,7 +210,7 @@ asymmetric-spread-triple.prob-high,0.7456919222195335
 homogeneous-triple.rho,2.449489742783178
 equal-means-big-outlier.rho,4.414213562373096
 two-balanced-groups.rho,6.0
-single-outlier-mean.stationarity-residual,-1.1102230246251565e-16
+single-outlier-mean.stationarity-residual,0.0
 single-outlier-mean.rho-form-gap,0.0
 pass,true
 """

@@ -146,6 +146,12 @@ class TestThreePointDist:
                 lam=0.5,
             )
 
+    def test_ordering_slack_scales_with_the_point(self):
+        masses = dict(p_minus=0.25, p_zero=0.5, p_plus=0.25, region="I2", c=0.0, lam=1e-300)
+        ThreePointDist(x_minus=-2e-300, x_zero=0.0, x_plus=2e-300, **masses)
+        with pytest.raises(ValidationError, match="support"):
+            ThreePointDist(x_minus=2e-300, x_zero=0.0, x_plus=-2e-300, **masses)
+
 
 class TestExtremalMarginals:
     def test_mass_identities_at_optimum(self):

@@ -516,7 +516,7 @@ class TestColumnsFormed:
         tables, runs = record_solve(monkeypatch)
         report = minimize_phi(spec)
         formed = [{name for name in self.COLUMNS if name in vars(t)} for t in tables]
-        [reported] = [k for k, t in enumerate(tables) if t is report.table]
+        [reported] = [k for k, t in enumerate(tables) if t.x is report.table.x]
         return report, formed, reported, bool(runs)
 
     @pytest.mark.parametrize("n", [3, 16, 1000])
@@ -594,15 +594,17 @@ class TestJointNewtonFallback:
         ids=["lambda-below-zero", "lambda-falls", "c-leaves-bracket", "singular-hessian"],
     )
     def test_refused_step_runs_the_nested_solve(self, monkeypatch, mu, sigma, c_start, singular):
+        spec = MomentSpec(mu=mu, sigma=sigma)
+        dev, _, e = solver.scaled_deviations(spec)
         tables, runs = record_solve(monkeypatch)
-        report = minimize_phi(MomentSpec(mu=mu, sigma=sigma), c_start=c_start)
+        report = minimize_phi(spec, c_start=c_start)
         [(joint_tables, (table, outer))] = runs
-        assert report.table is table
-        assert report.rho == table.phi()
+        assert report.table.x is table.x
+        assert report.rho == math.ldexp(table.phi(), e)
         assert report.iterations > outer
         assert report.residual <= 1e-10
         steps = [t for t in tables[:joint_tables] if "dgap_dc" in vars(t)]
-        assert all(min(mu) <= t.c <= max(mu) for t in steps)
+        assert all(dev.min() <= t.c <= dev.max() for t in steps)
         assert all(b.lam >= 0.5 * a.lam for a, b in zip(steps, steps[1:]))
         assert any(t.two.all() for t in steps) == singular
 
@@ -612,14 +614,15 @@ class TestJointNewtonFallback:
         rng = np.random.default_rng(90)
         while True:
             spec = random_spec(rng, int(rng.integers(3, 40)))
-            mu, sigma = spec.arrays()
-            table, _ = solver._nested_solve(mu, sigma, float(mu.min()), float(mu.max()), None)
+            dev, sig, e = solver.scaled_deviations(spec)
+            table, _ = solver._nested_solve(dev, sig, float(dev.min()), float(dev.max()), None)
             nested = math.hypot(*table.gradient())
             joint = minimize_phi(spec).residual
             if nested < joint:
                 break
         report = minimize_phi(spec, tol=0.5 * (nested + joint))
-        assert (report.optimum.c, report.optimum.lam) == (table.c, table.lam)
+        point = (spec.mu_bar + math.ldexp(table.c, e), math.ldexp(table.lam, e))
+        assert (report.optimum.c, report.optimum.lam) == point
         assert report.residual == nested
 
     def test_agrees_with_the_nested_solve_to_rounding(self):

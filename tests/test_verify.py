@@ -195,3 +195,22 @@ class TestInfimumWitness:
             )
         with pytest.raises(ValidationError, match="2 x 2"):
             infimum_witness(spec, 1e-3, n_samples=10, dispersion=np.eye(3))
+
+    def test_zero_dispersion_is_rejected_at_small_sigma(self):
+        small = MomentSpec(mu=(0.0, 1e-6), sigma=(1e-6, 2e-6))
+        with pytest.raises(ValidationError, match="diagonal"):
+            infimum_witness(small, 1e-3, n_samples=10, dispersion=np.zeros((2, 2)))
+
+    def test_rounded_dispersion_is_accepted_at_large_sigma(self):
+        # The Cholesky round trip of a valid covariance at sigma ~ 1e6: its
+        # diagonal is off by rounding far above 1e-10, but not above 1e-10
+        # of sigma**2.
+        rng = np.random.default_rng(31)
+        sigma = 1e6 * rng.uniform(0.5, 2.0, 6)
+        corr = np.corrcoef(rng.normal(size=(6, 40)))
+        factor = np.linalg.cholesky(corr * np.outer(sigma, sigma))
+        disp = factor @ factor.T
+        assert np.max(np.abs(np.diag(disp) - sigma**2)) > 1e-10
+        large = MomentSpec(mu=tuple(np.arange(6.0) * 1e6), sigma=tuple(sigma.tolist()))
+        estimate = infimum_witness(large, 1e-3, n_samples=1000, dispersion=disp)
+        assert math.isfinite(estimate)
