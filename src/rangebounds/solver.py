@@ -16,26 +16,32 @@ columns, the second derivatives in closed form.
   sum_i t_i, with t_i = sqrt((mu_i - c)**2 + sigma_i**2) / 2.  It starts at
   its closed form for coordinates in I1 and I2 only, lambda**2 =
   min(sum_i t_i**2 / 2, sum_i t_i**2 - max t_i**2), exact for equal means,
-  and reads only p^0 and d p^0/d lambda of each table.
+  and reads only p^0 and d p^0/d lambda of each table.  The root is found
+  by ``_newton_bisect``, which takes the Newton step while it stays inside
+  a certified bracket and bisects otherwise, so a poor start costs a
+  bisection, never a wrong root.
 * From that table on it takes joint Newton steps on grad phi = 0 in
   (c, lambda), one per table, solved with lambda times the Hessian, which
-  is free of units.  A step is taken only while the Hessian is positive
-  definite, c stays within [min mu_i, max mu_i] and lambda keeps at least
-  half its value.  The steps stop at float resolution (c relative to the
+  is free of units.  The steps stop at float resolution (c relative to the
   spread of the means, lambda relative to itself) or once the gradient
   norm no longer falls at its rounding level, and the table of least
   gradient norm is reported.
-* A refused step, too many steps, or a gradient norm above the tolerance
-  hands the solve to nested roots from the start, the certified fallback:
-  an outer root in c of g(c) = min over lambda of phi_n(c, lambda), convex
-  with its minimum inside [min mu_i, max mu_i], whose slope is d phi/dc at
-  the inner root and whose curvature is phi_cc - phi_c,lambda**2 /
-  phi_lambda,lambda; every inner root after the first starts on the
-  tangent of c -> lambda*(c).
+* The table that ends an inner root lies on the valley lambda = lambda*(c)
+  of g(c) = min over lambda of phi_n(c, lambda), which is convex with its
+  minimum inside [min mu_i, max mu_i], and d phi/dc there is the slope of
+  g: its sign narrows a certified bracket on c.  A step is refused when
+  the Hessian is not positive definite, c would leave the range of the
+  means (the bracket, after the first restore), lambda would fall below
+  half its value, or 20 tables pass since the last inner root; after the
+  first restore, also when the step does not lower the least gradient
+  norm.  A
+  refused step restores onto the valley, with the inner root at the
+  current c when it lies in the middle half of the bracket and at the
+  midpoint otherwise, started on the tangent of c -> lambda*(c), and the
+  steps go on from there.  Each restore leaves at most 3/4 of the
+  bracket, so the search ends, at the latest once the bracket is
+  resolved to float resolution.
 
-Both nested roots use one safeguarded Newton iteration, ``_newton_bisect``,
-which takes the Newton step while it stays inside a certified bracket and
-bisects otherwise, so a poor start costs a bisection, never a wrong root.
 n = 2 is special (the minimizing set is a segment touching lambda = 0) and
 is served by a closed form.
 
@@ -82,7 +88,8 @@ _EPS = 2.0**-52
 #: Newton steps stop once its norm no longer falls.
 _FLOOR_ULPS = 4.0
 
-#: Most tables the joint Newton steps read before the nested roots take over.
+#: Most tables the joint Newton steps read after an inner root before they
+#: restore onto a new one.
 _MAX_JOINT_STEPS = 20
 
 #: Relative margin below which a coordinate at the optimum is considered to
@@ -211,7 +218,6 @@ def _newton_bisect(
     lo: float,
     hi: float,
     x0: float | None = None,
-    floor: float | None = None,
 ) -> tuple[float, int]:
     """Root of a nondecreasing f known to lie in [lo, hi], to float resolution.
 
@@ -221,16 +227,15 @@ def _newton_bisect(
     last, and the bracket's midpoint otherwise (rtsafe, Press et al.,
     Numerical Recipes).  The search starts at ``x0`` when it lies inside
     the bracket.  It stops once a step, Newton or bisection, is below
-    relative float resolution or ``floor`` (default 2**-60 of the initial
-    width, for a root at 0), or no longer moves the point, or once a Newton
-    step leaves f unchanged: f is then at the rounding level of its own
-    evaluation, and further Newton steps of that size fail the halving test
-    and fall back to bisecting the whole bracket.  Returns the last
-    evaluated point, so that a caller's record of its final evaluation
-    belongs to the root, and the number of evaluations.
+    relative float resolution or 2**-60 of the initial width (for a root
+    at 0), or no longer moves the point, or once a Newton step leaves f
+    unchanged: f is then at the rounding level of its own evaluation, and
+    further Newton steps of that size fail the halving test and fall back
+    to bisecting the whole bracket.  Returns the last evaluated point, so
+    that a caller's record of its final evaluation belongs to the root,
+    and the number of evaluations.
     """
-    if floor is None:
-        floor = (hi - lo) * 2.0**-60
+    floor = (hi - lo) * 2.0**-60
 
     def resolution(x: float) -> float:
         return max(_EPS * abs(x), floor)
@@ -441,66 +446,46 @@ def _inner_table(
     return table
 
 
-def _nested_solve(
-    mu: np.ndarray, sigma: np.ndarray, lo: float, hi: float, c_start: float | None
-) -> tuple[MassTable, int]:
-    """The table at the minimizer by nested roots, and the outer steps taken.
-
-    The outer root is over c in [lo, hi], lo < hi, of g(c) = min over
-    lambda of phi(c, lambda): its slope is d phi/dc at the inner root and
-    its curvature phi_cc - phi_c,lambda**2 / phi_lambda,lambda, by implicit
-    differentiation.  Every inner root after the first starts on the
-    tangent of c -> lambda*(c) at the last table.
-    """
-    table = None
-    lam_slope = 0.0
-
-    def slope(c: float) -> tuple[float, float]:
-        nonlocal table, lam_slope
-        start = None if table is None else table.lam + lam_slope * (c - table.c)
-        table = _inner_table(mu, sigma, c, start)
-        phi_cc = float(table.dgap_dc.sum())
-        phi_cl = float(table.dp0_dc.sum())
-        phi_ll = float(table.dp0_dlam.sum())
-        # phi_cl**2 / phi_ll is formed as phi_cl * (phi_cl / phi_ll): the
-        # square overflows at small scales, where every sum is of order
-        # 1/scale.
-        if phi_ll > 0.0:
-            lam_slope = -(phi_cl / phi_ll)
-            curvature = phi_cc + phi_cl * lam_slope
-        else:
-            lam_slope = curvature = 0.0
-        return table.gradient()[0], curvature
-
-    # c is resolved to the float resolution of the means, not of c itself,
-    # which near 0 is finer than any mu_i - c can carry.
-    _, steps = _newton_bisect(slope, lo, hi, c_start, _EPS * max(abs(lo), abs(hi)))
-    return table, steps
-
-
 def _joint_newton(
     mu: np.ndarray, sigma: np.ndarray, lo: float, hi: float, c: float
-) -> tuple[MassTable | None, int]:
+) -> tuple[MassTable, int]:
     """The table at the minimizer by Newton steps on grad phi = 0 in (c, lambda).
 
     Starts at the inner root at ``c``, then takes one step per table, with
     the Hessian [[phi_cc, phi_c,lambda], [phi_c,lambda, phi_lambda,lambda]]
     from its derivative columns.  Each of those columns is of order
     1/lambda, so the system is solved with lambda times the Hessian, which
-    is free of units and cannot overflow at any scale of the spec.  Stops
-    once a step is below float resolution in both coordinates (c relative
-    to the largest |mu_i| of the frame, lambda relative to itself), which
-    includes a step that leaves the point where it is, or once the gradient
-    norm no longer falls while it is at its rounding level; returns the
-    table of smallest gradient norm and the number of tables read.  Returns
-    None for the table when a step is refused, because the Hessian is not
-    positive definite, c would leave [lo, hi] or lambda would fall below
-    half its value, or when ``_MAX_JOINT_STEPS`` tables pass without a stop.
+    is free of units and cannot overflow at any scale of the spec.
+
+    A table that ends an inner root is a valley table: there d phi/dc is
+    the slope of the convex g(c) = min over lambda of phi(c, lambda), and
+    its sign moves one end of a certified bracket [left, right] on c, an
+    exact zero both.  A step is refused when the Hessian is not positive
+    definite, c would leave [lo, hi], lambda would fall below half its
+    value or ``_MAX_JOINT_STEPS`` tables have passed since the last valley
+    table; once restored, also when the table it comes from did not lower
+    the least gradient norm.  A refused step restores: [lo, hi] becomes
+    the bracket, and the next table is the inner root at the current c if
+    it lies in the bracket's middle half and at its midpoint otherwise,
+    started on the tangent of c -> lambda*(c) at the last valley table.
+
+    Stops once a step is below float resolution in both coordinates (c
+    relative to the largest |mu_i| of the frame, lambda relative to
+    itself), which includes a step that leaves the point where it is, once
+    the gradient norm no longer falls while it is at its rounding level,
+    or once a step is refused with the bracket resolved to float
+    resolution.  Returns the table of smallest gradient norm and the
+    number of tables read.
     """
     scale = max(abs(lo), abs(hi))
-    table = _inner_table(mu, sigma, c, None)
+    left, right = lo, hi
+    table = valley = _inner_table(mu, sigma, c, None)
     best, best_norm = table, math.inf
-    for steps in range(1, _MAX_JOINT_STEPS + 1):
+    restored = False
+    steps = since_valley = 0
+    while True:
+        steps += 1
+        since_valley += 1
         g_c, g_lam = table.gradient()
         lam = table.lam
         h_cc = lam * float(table.dgap_dc.sum())
@@ -513,22 +498,38 @@ def _joint_newton(
         floor = _FLOOR_ULPS * _EPS * (
             mu.size + (abs(h_cc) + abs(h_cl)) * (scale / lam) + abs(h_cl) + abs(h_ll)
         )
-        if norm < best_norm:
+        if table is valley:
+            if g_c <= 0.0:
+                left = table.c
+            if g_c >= 0.0:
+                right = table.c
+            # At an inner root sum p^0 = n - 2 > 0, so some d p^0/d lambda
+            # is positive, but in I3 and I4 it underflows to 0 where sigma_i
+            # is below about 1e-160 of the spread of the means.
+            lam_slope = -(h_cl / h_ll) if h_ll > 0.0 else 0.0
+        lowered = norm < best_norm
+        if lowered:
             best, best_norm = table, norm
         elif best_norm <= floor:
             return best, steps
         det = h_cc * h_ll - h_cl * h_cl
-        if not (h_ll > 0.0 and det > 0.0):
-            return None, steps
-        step_c = lam * ((h_ll * g_c - h_cl * g_lam) / det)
-        step_lam = lam * ((h_cc * g_lam - h_cl * g_c) / det)
-        c_next, lam_next = table.c - step_c, lam - step_lam
-        if not (lo <= c_next <= hi and lam_next >= 0.5 * lam):
-            return None, steps
-        if abs(step_c) <= _EPS * scale and abs(step_lam) <= _EPS * lam:
+        if (lowered or not restored or table is valley) and h_ll > 0.0 and det > 0.0:
+            step_c = lam * ((h_ll * g_c - h_cl * g_lam) / det)
+            step_lam = lam * ((h_cc * g_lam - h_cl * g_c) / det)
+            c_next, lam_next = table.c - step_c, lam - step_lam
+            if lo <= c_next <= hi and lam_next >= 0.5 * lam:
+                if abs(step_c) <= _EPS * scale and abs(step_lam) <= _EPS * lam:
+                    return best, steps
+                if since_valley < _MAX_JOINT_STEPS:
+                    table = mass_table(mu, sigma, c_next, lam_next)
+                    continue
+        # The step is refused: restore onto the valley, inside the bracket.
+        if right - left <= 2.0 * _EPS * scale:
             return best, steps
-        table = mass_table(mu, sigma, c_next, lam_next)
-    return None, _MAX_JOINT_STEPS
+        lo, hi, quarter = left, right, 0.25 * (right - left)
+        c = table.c if lo + quarter <= table.c <= hi - quarter else 0.5 * (lo + hi)
+        table = valley = _inner_table(mu, sigma, c, valley.lam + lam_slope * (c - valley.c))
+        restored, since_valley = True, 0
 
 
 def minimize_phi(
@@ -545,11 +546,12 @@ def minimize_phi(
     smallest and largest mean, and at the midpoint otherwise; any start
     converges to the same optimum, which is how the restart-agreement checks
     exercise uniqueness.  It finds the inner root lambda*(c) at the start,
-    then takes joint Newton steps in (c, lambda); when a step is refused,
-    or the steps end with a gradient norm above ``tol``, it solves again
-    from the start by nested roots.  ``iterations`` counts the tables whose
-    gradient and Hessian were read: one per joint step, and one per outer
-    step of the nested roots.
+    then takes joint Newton steps in (c, lambda), and a refused step
+    restores onto the inner root inside the bracket on c that the inner
+    roots certify (``_joint_newton``).  ``iterations`` counts the tables
+    whose gradient and Hessian were read: the last table of each inner
+    root and one per joint step.  A reported gradient norm above ``tol``
+    raises :class:`ConvergenceError` carrying the report.
     """
     if float(tol) <= 0.0:
         raise ValidationError("tol must be positive")
@@ -568,9 +570,6 @@ def minimize_phi(
     else:
         start = c_start if c_start is not None and lo < c_start < hi else 0.5 * (lo + hi)
         table, iterations = _joint_newton(mu, sigma, lo, hi, start)
-        if table is None or math.hypot(*table.gradient()) > tol:
-            table, nested = _nested_solve(mu, sigma, lo, hi, c_start)
-            iterations += nested
     method = "general-solver"
     if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"

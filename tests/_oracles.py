@@ -1,11 +1,12 @@
 """Independent reference computations used to cross-check the library.
 
-Nothing here imports solver internals: the linear program, the finite
-differences, and the derivative-free minimizer only see public evaluation
-functions, so agreement is evidence rather than tautology.  The attaining
-law's plain forms live here too: the law as explicit n-tuples, the moment
-check and expected range as loops over them, its exact moments in
-rational arithmetic, the greedy coupling with linear scans and a full
+The linear program, the finite differences, and the derivative-free
+minimizer only see public evaluation functions, so agreement is evidence
+rather than tautology; the nested roots share only the solver's inner
+root and unit frame, and replace its search in c by plain bisection.  The
+attaining law's plain forms live here too: the law as explicit n-tuples,
+the moment check and expected range as loops over them, its exact moments
+in rational arithmetic, the greedy coupling with linear scans and a full
 ``math.fsum`` at every step, and the ``extremal``/``verify`` output as
 ``json.dumps`` of the full payload.  So do the earlier forms of two hot
 paths, kept for bit-for-bit comparison: the mass-table kernel that
@@ -37,6 +38,7 @@ from rangebounds import (
     phi,
     zero_trace_coupling,
 )
+from rangebounds import solver
 from rangebounds.objective import BOUNDARY_REL_TOL
 
 
@@ -110,6 +112,27 @@ def phi_by_nelder_mead(spec: MomentSpec) -> tuple[float, float, float]:
         options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 6000, "maxfev": 6000},
     )
     return float(result.fun), float(result.x[0]), math.exp(float(result.x[1]))
+
+
+def rho_by_nested_roots(spec: MomentSpec) -> float:
+    """rho by nested roots in the spec's unit frame: plain bisection on c,
+    by the sign of d phi/dc at the inner root lambda*(c), which is the
+    slope of the convex g(c) = min over lambda of phi(c, lambda), down to
+    float resolution of the means."""
+    dev, sig, e = solver.scaled_deviations(spec)
+    lo, hi = float(dev.min()), float(dev.max())
+    resolution = 2.0**-51 * max(abs(lo), abs(hi))
+    table = None
+    while True:
+        c = 0.5 * (lo + hi)
+        table = solver._inner_table(dev, sig, c, None if table is None else table.lam)
+        slope = table.gradient()[0]
+        if slope == 0.0 or hi - lo <= resolution:
+            return math.ldexp(table.phi(), e)
+        if slope < 0.0:
+            lo = c
+        else:
+            hi = c
 
 
 def perturb_coupling_by_search(q: np.ndarray) -> np.ndarray | None:

@@ -157,6 +157,21 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--input", bare, "--samples", "2000")
         assert (code, json.loads(out)["moment_check"]["pass"]) == (1, True)
 
+    def test_moment_tolerance_is_tol_when_larger(self, capsys):
+        """Moments are checked at max(--tol, 1e-10) of each coordinate's
+        scale.  Shifting every atom by 1e-8 of the largest scale moves each
+        mean by 1e-8 to 1.4e-8 of its scale and leaves the expected range
+        as it is: the law fails by default and passes with --tol 1e-6."""
+        _, out, _ = run_cli(capsys, "extremal", "--input", TRIPLE)
+        document = json.loads(out)
+        shift = 1e-8 * max(abs(m) + s for m, s in zip(document["mu"], document["sigma"]))
+        joint = document["joint"]
+        joint["support"] = [[x + shift for x in atom] for atom in joint["support"]]
+        text = json.dumps(document)
+        for flags, passed in (([], False), (["--tol", "1e-6"], True)):
+            code, out, _ = run_cli(capsys, "verify", "--input", text, "--samples", "2000", *flags)
+            assert (code, json.loads(out)["embedded_joint_pass"]) == (int(not passed), passed)
+
     def test_rebuilt_law_passes_at_a_large_offset(self, capsys):
         spec = _general(7, 1.0, 1e8)
         text = json.dumps(spec.to_json_dict())
@@ -210,7 +225,7 @@ asymmetric-spread-triple.prob-high,0.7456919222195335
 homogeneous-triple.rho,2.449489742783178
 equal-means-big-outlier.rho,4.414213562373096
 two-balanced-groups.rho,6.0
-single-outlier-mean.stationarity-residual,0.0
+single-outlier-mean.stationarity-residual,-1.1102230246251565e-16
 single-outlier-mean.rho-form-gap,0.0
 pass,true
 """
