@@ -25,17 +25,17 @@ from rangebounds import (
     mc_expected_range,
     perturb_coupling,
 )
+from rangebounds.objective import REGION_NAMES
+
 
 def show_marginals(parts) -> None:
     print("three-point marginals (support / mass / region):")
-    for i, dist in enumerate(parts.marginals):
-        support = ", ".join(
-            f"{x:+.5f}" for x in (dist.x_minus, dist.x_zero, dist.x_plus)
-        )
-        masses = ", ".join(
-            f"{p:.5f}" for p in (dist.p_minus, dist.p_zero, dist.p_plus)
-        )
-        print(f"  X[{i}]: ({support})  ({masses})  {dist.region}")
+    table = parts.table
+    columns = zip(table.points().T.tolist(), table.p.T.tolist(), table.region.tolist())
+    for i, (points, masses, k) in enumerate(columns):
+        support = ", ".join(f"{x:+.5f}" for x in points)
+        mass = ", ".join(f"{p:.5f}" for p in masses)
+        print(f"  X[{i}]: ({support})  ({mass})  {REGION_NAMES[k]}")
 
 
 def show_joint(parts) -> None:

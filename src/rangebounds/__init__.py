@@ -19,7 +19,6 @@ from .extremal import (
     JointDiscreteDistribution,
     PairSampler,
     ProbabilityMatrix,
-    ThreePointDist,
     ag_tightness,
     bnt_extremal_max,
     build_extremal_joint,
@@ -27,7 +26,6 @@ from .extremal import (
     extremal_marginals,
     extremal_pair_given_correlation,
     perturb_coupling,
-    univariate_extremal,
     zero_trace_coupling,
 )
 from .objective import (
@@ -81,7 +79,6 @@ __all__ = [
     "ProbabilityMatrix",
     "RangeBoundsError",
     "RegionPartition",
-    "ThreePointDist",
     "ValidationError",
     "ag_bound",
     "ag_general_bound",
@@ -113,7 +110,6 @@ __all__ = [
     "u_gradient",
     "u_value",
     "u_value_array",
-    "univariate_extremal",
     "zero_trace_coupling",
     "__version__",
 ]

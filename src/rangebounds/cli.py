@@ -359,14 +359,14 @@ def _case_rows() -> list[dict]:
         "ag-tight-triple",
         "p-plus-max-error",
         0.0,
-        max(abs(a - b) for a, b in zip(parts.p_plus, targets_plus)),
+        max(abs(a - b) for a, b in zip(parts.table.p[2].tolist(), targets_plus)),
         1e-9,
     )
     add(
         "ag-tight-triple",
         "p-minus-max-error",
         0.0,
-        max(abs(a - b) for a, b in zip(parts.p_minus, targets_minus)),
+        max(abs(a - b) for a, b in zip(parts.table.p[0].tolist(), targets_minus)),
         1e-9,
     )
     atoms = [

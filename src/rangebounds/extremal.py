@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InfeasibleCouplingError, ValidationError
-from .objective import REGION_NAMES, DualPoint, MassTable, MomentSpec, mass_table
+from .objective import DualPoint, MassTable, MomentSpec, mass_table
 from .solver import (
     DEFAULT_TOL,
     BoundReport,
@@ -40,11 +40,9 @@ from .solver import (
 )
 
 __all__ = [
-    "ThreePointDist",
     "ProbabilityMatrix",
     "JointDiscreteDistribution",
     "AttainingJoint",
-    "univariate_extremal",
     "extremal_marginals",
     "zero_trace_coupling",
     "perturb_coupling",
@@ -65,72 +63,6 @@ def _clamp_probability(p: float, context: str) -> float:
     if p < -1e-12:
         raise ValidationError(f"negative probability {p!r} in {context}")
     return 0.0 if p < 0.0 else p
-
-
-@dataclass(frozen=True)
-class ThreePointDist:
-    """A univariate law on at most three points, tied to a generating (c, lambda).
-
-    Unused support slots are filled by the convention (c - 2 lambda, c,
-    c + 2 lambda) and carry probability exactly 0.0; ``region`` records which
-    branch of the extremal table produced the law.
-    """
-
-    x_minus: float
-    x_zero: float
-    x_plus: float
-    p_minus: float
-    p_zero: float
-    p_plus: float
-    region: str
-    c: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        total = self.p_minus + self.p_zero + self.p_plus
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
-        if min(self.p_minus, self.p_zero, self.p_plus) < 0.0:
-            raise ValidationError("probabilities must be nonnegative")
-        slack = 1e-9 * (abs(self.c) + self.lam)
-        ordered = (
-            self.x_minus < self.c - self.lam + slack
-            and self.c - self.lam < self.x_zero + slack
-            and self.x_zero < self.c + self.lam + slack
-            and self.c + self.lam < self.x_plus + slack
-        )
-        if not ordered:
-            raise ValidationError(
-                "support must satisfy x- < c - lambda < x0 < c + lambda < x+"
-            )
-
-    def mean(self) -> float:
-        return math.fsum(
-            (self.x_minus * self.p_minus, self.x_zero * self.p_zero, self.x_plus * self.p_plus)
-        )
-
-    def variance(self) -> float:
-        m = self.mean()
-        return math.fsum(
-            (
-                self.p_minus * (self.x_minus - m) ** 2,
-                self.p_zero * (self.x_zero - m) ** 2,
-                self.p_plus * (self.x_plus - m) ** 2,
-            )
-        )
-
-    def support(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """(values, probabilities) with zero-probability fill points dropped."""
-        pairs = [
-            (x, p)
-            for x, p in (
-                (self.x_minus, self.p_minus),
-                (self.x_zero, self.p_zero),
-                (self.x_plus, self.p_plus),
-            )
-            if p != 0.0
-        ]
-        return tuple(x for x, _ in pairs), tuple(p for _, p in pairs)
 
 
 class ProbabilityMatrix:
@@ -260,37 +192,15 @@ class JointDiscreteDistribution:
         return cls(support=data["support"], prob=data["prob"])
 
 
-def _three_point_laws(table: MassTable) -> tuple[ThreePointDist, ...]:
-    points = table.points().T.tolist()
-    masses = table.p.T.tolist()
-    return tuple(
-        ThreePointDist(*x, *p, region=REGION_NAMES[k], c=table.c, lam=table.lam)
-        for x, p, k in zip(points, masses, table.region.tolist())
-    )
+def extremal_marginals(spec: MomentSpec, p: DualPoint) -> MassTable:
+    """Every coordinate's extremal three-point law at ``p``, as the mass table.
 
-
-def univariate_extremal(mu: float, sigma: float, c: float, lam: float) -> ThreePointDist:
-    """The unique maximizer of E[|X - c - lambda| + |X - c + lambda|] given moments.
-
-    One row of the mass table, so it is selected by the same region
-    conditions as the partition bookkeeping; its objective value equals
-    lambda * U((mu - c)/lambda, sigma/lambda).
+    Coordinate i's law is column i of the table's ``points()`` and ``p``,
+    in the region named ``objective.REGION_NAMES[region[i]]``.  At the
+    optimum the masses satisfy sum p_i^+ = sum p_i^- = 1; a point whose
+    masses miss 1 by more than 1e-6 is not the optimum and is rejected.
     """
-    mu, sigma, c, lam = float(mu), float(sigma), float(c), float(lam)
-    if sigma <= 0.0:
-        raise ValidationError("sigma must be positive")
-    if lam <= 0.0:
-        raise ValidationError("lambda must be positive")
-    return _three_point_laws(mass_table((mu,), (sigma,), c, lam))[0]
-
-
-def _optimal_table(table: MassTable) -> MassTable:
-    """``table``, which must be the table at the optimum.
-
-    At the optimal point the masses satisfy sum p_i^+ = sum p_i^- = 1; a
-    violation beyond 1e-6 means the table's point is not the optimum and
-    is rejected.
-    """
+    table = mass_table(*spec.arrays(), p.c, p.lam)
     err_plus = abs(math.fsum(table.p[2].tolist()) - 1.0)
     err_minus = abs(math.fsum(table.p[0].tolist()) - 1.0)
     if max(err_plus, err_minus) > 1e-6:
@@ -300,15 +210,6 @@ def _optimal_table(table: MassTable) -> MassTable:
             f"(c={table.c!r}, lambda={table.lam!r}) does not minimize the objective"
         )
     return table
-
-
-def extremal_marginals(
-    spec: MomentSpec, p: DualPoint
-) -> tuple[tuple[ThreePointDist, ...], tuple[float, ...], tuple[float, ...]]:
-    """Per-coordinate extremal laws at the optimum ``p`` plus the upper/lower
-    mass vectors; a ``p`` whose masses miss 1 by more than 1e-6 is rejected."""
-    table = _optimal_table(mass_table(*spec.arrays(), p.c, p.lam))
-    return _three_point_laws(table), tuple(table.p[2].tolist()), tuple(table.p[0].tolist())
 
 
 def _validate_marginal_vector(v: Sequence[float], name: str) -> list[float]:
@@ -652,26 +553,16 @@ def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
 class ExtremalComponents(NamedTuple):
     """Everything produced on the way to an extremal joint distribution.
 
-    ``table`` is the mass table at the optimum; the per-coordinate laws and
-    the tail mass vectors are read off it only when asked for.
+    ``table`` is the report's mass table at the optimum and the one
+    representation of the marginals: coordinate i's law is column i of
+    ``table.points()`` and of ``table.p``, and the coupling's marginals are
+    its rows ``p[2]`` (upper tails) and ``p[0]`` (lower tails).
     """
 
     report: BoundReport
     table: MassTable
     coupling: ProbabilityMatrix
     joint: AttainingJoint
-
-    @property
-    def marginals(self) -> tuple[ThreePointDist, ...]:
-        return _three_point_laws(self.table)
-
-    @property
-    def p_plus(self) -> tuple[float, ...]:
-        return tuple(self.table.p[2].tolist())
-
-    @property
-    def p_minus(self) -> tuple[float, ...]:
-        return tuple(self.table.p[0].tolist())
 
 
 def _first_outside(
@@ -780,11 +671,14 @@ class AttainingJoint:
 def extremal_components(spec: MomentSpec, tol: float = DEFAULT_TOL) -> ExtremalComponents:
     """Bound, marginals, coupling, and joint for ``spec`` in one pass.
 
-    Works for n = 2 as well: there the same marginal table yields two
-    two-point laws and the coupling is the unique anti-diagonal matrix.
+    The marginals are the report's mass table, whose tail rows go to
+    :func:`zero_trace_coupling` as they are; its check that each sums to 1
+    rejects a table formed away from the optimum.  Works for n = 2 as
+    well: there the same table yields two two-point laws and the coupling
+    is the unique anti-diagonal matrix.
     """
     report = rho_bound(spec, tol)
-    table = _optimal_table(report.table)
+    table = report.table
     coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
     x_minus, x_zero, x_plus = table.points()
     joint = AttainingJoint(x_zero=x_zero, x_plus=x_plus, x_minus=x_minus, coupling=coupling)

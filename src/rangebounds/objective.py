@@ -199,18 +199,14 @@ class RegionPartition:
         return len(self.i1) + len(self.i2) + len(self.i3) + len(self.i4)
 
     def region_of(self, index: int) -> str:
-        for name, g in (("I1", self.i1), ("I2", self.i2), ("I3", self.i3), ("I4", self.i4)):
+        for name, g in self.to_json_dict().items():
             if index in g:
                 return name
         raise ValidationError(f"index {index} outside 0..{self.n - 1}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "I1": list(self.i1),
-            "I2": list(self.i2),
-            "I3": list(self.i3),
-            "I4": list(self.i4),
-        }
+        groups = (self.i1, self.i2, self.i3, self.i4)
+        return {name: list(g) for name, g in zip(REGION_NAMES, groups)}
 
 
 @dataclass(frozen=True, eq=False)

@@ -346,13 +346,8 @@ def check_moments_by_loop(
 def extremal_tuples(spec: MomentSpec) -> tuple[ExtremalComponents, JointDiscreteDistribution]:
     """``extremal_components`` of ``spec`` and its law rebuilt as n-tuples."""
     parts = extremal_components(spec)
-    joint = joint_by_tuples(
-        [d.x_zero for d in parts.marginals],
-        [d.x_plus for d in parts.marginals],
-        [d.x_minus for d in parts.marginals],
-        parts.coupling.q,
-    )
-    return parts, joint
+    x_minus, x_zero, x_plus = parts.table.points().tolist()
+    return parts, joint_by_tuples(x_zero, x_plus, x_minus, parts.coupling.q)
 
 
 def extremal_stdout(spec: MomentSpec) -> str:

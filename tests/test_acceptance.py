@@ -64,9 +64,9 @@ def test_arithmetic_triple_reproduces_tail_masses_and_unique_joint():
     spec = MomentSpec(mu=(-1.0, 0.0, 1.0), sigma=(1.0, math.sqrt(3.0), math.sqrt(2.0)))
     parts = extremal_components(spec)
     assert parts.report.ag == pytest.approx(4.0, abs=1e-10)
-    for got, want in zip(parts.p_plus, (0.0, 3.0 / 8.0, 5.0 / 8.0)):
+    for got, want in zip(parts.table.p[2].tolist(), (0.0, 3.0 / 8.0, 5.0 / 8.0)):
         assert got == pytest.approx(want, abs=1e-9)
-    for got, want in zip(parts.p_minus, (0.5, 3.0 / 8.0, 1.0 / 8.0)):
+    for got, want in zip(parts.table.p[0].tolist(), (0.5, 3.0 / 8.0, 1.0 / 8.0)):
         assert got == pytest.approx(want, abs=1e-9)
     match_atoms(
         parts.joint,
@@ -343,7 +343,7 @@ def test_property_suites_convexity_gradients_masses_and_couplings():
     for _ in range(50):
         spec = random_spec(rng)
         report = rho_bound(spec)
-        _, p_plus, p_minus = extremal_marginals(spec, report.optimum)
+        p_minus, _, p_plus = extremal_marginals(spec, report.optimum).p.tolist()
         assert abs(math.fsum(p_plus) - 1.0) <= 1e-9
         assert abs(math.fsum(p_minus) - 1.0) <= 1e-9
         middles = [1.0 - pp - pm for pp, pm in zip(p_plus, p_minus)]

@@ -299,7 +299,7 @@ class TestSparseGreedy:
     def test_star_cells_match_the_scan_oracle(self):
         for seed, n, a, b in STARS:
             parts = extremal_components(star_spec(seed, n, a, b))
-            p, q = list(parts.p_plus), list(parts.p_minus)
+            p, q = parts.table.p[2].tolist(), parts.table.p[0].tolist()
             cells = _coupling_by_greedy(p, q)
             assert len(cells[2]) == 2 * (n - 1)
             assert_same_cells(cells, coupling_by_scan(p, q))

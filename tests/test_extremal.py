@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from rangebounds import (
     JointDiscreteDistribution,
     MomentSpec,
     ProbabilityMatrix,
-    ThreePointDist,
     ValidationError,
     ag_bound,
     ag_tightness,
@@ -22,7 +22,6 @@ from rangebounds import (
     extremal_pair_given_correlation,
     perturb_coupling,
     rho_bound,
-    univariate_extremal,
     zero_trace_coupling,
 )
 from rangebounds import extremal
@@ -37,7 +36,6 @@ from rangebounds.objective import mass_table
         (lambda: zero_trace_coupling([1.0], [1.0]), "at least two indices"),
         (lambda: perturb_coupling(np.array([[0.0, 1.0], [0.0, 0.0]])), "ProbabilityMatrix"),
         (lambda: extremal_pair_given_correlation(0.0, 1.0, 1.0, 1.0, 0.5).sample(0), "at least 1"),
-        (lambda: ThreePointDist(1.0, 0.0, 2.0, 0.5, 0.0, 0.5, "I1", 0.0, 0.5), "support"),
         (
             lambda: JointDiscreteDistribution(support=((0.0,), (1.0,)), prob=(1.5, -0.5)),
             "nonnegative",
@@ -49,7 +47,6 @@ from rangebounds.objective import mass_table
         "one-index-coupling",
         "perturb-non-matrix",
         "zero-samples",
-        "unordered-points",
         "negative-mass",
     ],
 )
@@ -64,95 +61,6 @@ def joint_mean_and_var(joint, i):
     return mean, var
 
 
-class TestUnivariateExtremal:
-    @pytest.mark.parametrize(
-        "mu,sigma,c,lam,region",
-        [
-            (3.0, 1.0, 0.0, 0.5, "I1"),
-            (0.2, 1.0, 0.0, 1.0, "I2"),
-            (1.0, 0.5, 0.0, 1.0, "I3"),
-            (-1.0, 0.5, 0.0, 1.0, "I4"),
-        ],
-    )
-    def test_region_dispatch(self, mu, sigma, c, lam, region):
-        assert univariate_extremal(mu, sigma, c, lam).region == region
-
-    def test_two_sided_region_has_no_middle_mass(self):
-        dist = univariate_extremal(3.0, 1.0, 0.0, 0.5)
-        assert dist.p_zero == 0.0
-        assert len(dist.support()) == 2
-
-    def test_one_sided_regions_zero_one_tail_exactly(self):
-        right = univariate_extremal(1.0, 0.5, 0.0, 1.0)
-        assert right.p_minus == 0.0
-        left = univariate_extremal(-1.0, 0.5, 0.0, 1.0)
-        assert left.p_plus == 0.0
-
-    def test_moments_always_exact(self):
-        rng = np.random.default_rng(30)
-        for _ in range(300):
-            mu = float(rng.uniform(-4.0, 4.0))
-            sigma = float(rng.uniform(0.1, 3.0))
-            c = float(rng.uniform(-4.0, 4.0))
-            lam = float(rng.uniform(0.05, 3.0))
-            dist = univariate_extremal(mu, sigma, c, lam)
-            assert dist.mean() == pytest.approx(mu, abs=1e-10)
-            assert dist.variance() == pytest.approx(sigma * sigma, abs=1e-10)
-
-    def test_support_points_ordered(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            dist = univariate_extremal(
-                float(rng.uniform(-2, 2)),
-                float(rng.uniform(0.2, 2.0)),
-                float(rng.uniform(-1, 1)),
-                float(rng.uniform(0.2, 2.0)),
-            )
-            assert dist.x_minus < dist.x_zero < dist.x_plus
-
-    def test_rejects_bad_scale_parameters(self):
-        with pytest.raises(ValidationError):
-            univariate_extremal(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            univariate_extremal(0.0, 1.0, 0.0, 0.0)
-
-
-class TestThreePointDist:
-    def test_rejects_mass_not_summing_to_one(self):
-        with pytest.raises(ValidationError):
-            ThreePointDist(
-                x_minus=-1.0,
-                x_zero=0.0,
-                x_plus=1.0,
-                p_minus=0.5,
-                p_zero=0.5,
-                p_plus=0.5,
-                region="I2",
-                c=0.0,
-                lam=0.5,
-            )
-
-    def test_rejects_negative_mass(self):
-        with pytest.raises(ValidationError):
-            ThreePointDist(
-                x_minus=-1.0,
-                x_zero=0.0,
-                x_plus=1.0,
-                p_minus=-0.25,
-                p_zero=0.75,
-                p_plus=0.5,
-                region="I2",
-                c=0.0,
-                lam=0.5,
-            )
-
-    def test_ordering_slack_scales_with_the_point(self):
-        masses = dict(p_minus=0.25, p_zero=0.5, p_plus=0.25, region="I2", c=0.0, lam=1e-300)
-        ThreePointDist(x_minus=-2e-300, x_zero=0.0, x_plus=2e-300, **masses)
-        with pytest.raises(ValidationError, match="support"):
-            ThreePointDist(x_minus=2e-300, x_zero=0.0, x_plus=-2e-300, **masses)
-
-
 class TestExtremalMarginals:
     def test_mass_identities_at_optimum(self):
         """Tail masses sum to one on each side and middles to n - 2."""
@@ -160,11 +68,12 @@ class TestExtremalMarginals:
         for _ in range(40):
             spec = random_spec(rng)
             report = rho_bound(spec)
-            _, p_plus, p_minus = extremal_marginals(spec, report.optimum)
+            table = extremal_marginals(spec, report.optimum)
+            assert (table.c, table.lam) == (report.optimum.c, report.optimum.lam)
+            p_minus, p_zero, p_plus = table.p.tolist()
             assert math.fsum(p_plus) == pytest.approx(1.0, abs=1e-9)
             assert math.fsum(p_minus) == pytest.approx(1.0, abs=1e-9)
-            middles = [1.0 - pp - pm for pp, pm in zip(p_plus, p_minus)]
-            assert math.fsum(middles) == pytest.approx(spec.n - 2, abs=1e-9)
+            assert math.fsum(p_zero) == pytest.approx(spec.n - 2, abs=1e-9)
 
     def test_rejects_points_far_from_optimal(self):
         from rangebounds import DualPoint
@@ -172,6 +81,20 @@ class TestExtremalMarginals:
         spec = MomentSpec(mu=(-2.0, 0.0, 2.0), sigma=(1.0, 3.0, 1.0))
         with pytest.raises(ValidationError, match="mass"):
             extremal_marginals(spec, DualPoint(c=50.0, lam=0.01))
+
+    def test_components_reject_a_table_off_the_optimum(self, monkeypatch):
+        """The report's table goes to the coupling as it is; the coupling's
+        check that each tail row sums to 1 rejects a table formed away from
+        the optimum."""
+        spec = MomentSpec(mu=(-2.0, 0.0, 2.0), sigma=(1.0, 3.0, 1.0))
+        far = mass_table(*spec.arrays(), 50.0, 0.01)
+
+        def report_with_far_table(spec, tol):
+            return dataclasses.replace(rho_bound(spec, tol), table=far)
+
+        monkeypatch.setattr(extremal, "rho_bound", report_with_far_table)
+        with pytest.raises(ValidationError, match="^p sums to"):
+            extremal_components(spec)
 
 
 class TestBuildExtremalJoint:

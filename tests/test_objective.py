@@ -336,23 +336,49 @@ class TestMassTable:
         return out
 
     def test_masses_are_a_probability_law_and_ties_resolve_in_order(self):
+        """Column i of (points(), p) is coordinate i's law: on nonnegative
+        masses summing to 1, with the slot its region leaves empty exactly
+        0.0, and on points z^- <= -1 <= z^0 <= 1 <= z^+ in the table's own
+        units, whatever the scale of (c, lambda).  Off the ties its moments
+        are mu_i and sigma_i**2.  The ties are left out of that check: at
+        (+/-2, 1e-9) the small tail mass cancels to 0, so the variance is
+        off by all of sigma_i**2, 3.3e-10 of sigma_i (|mu_i - c| + sigma_i
+        + lambda)."""
+        points = self.points()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for spec, c, lam in self.points():
+            for k, (spec, c, lam) in enumerate(points):
                 table = mass_table(spec.mu, spec.sigma, c, lam)
                 assert np.all(table.p >= 0.0)
                 np.testing.assert_allclose(table.p.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
-            ties = self.points()[-2:]
+                p_minus, p_zero, p_plus = table.p
+                assert np.all(p_zero[table.region == 0] == 0.0)
+                assert np.all(p_minus[table.region == 2] == 0.0)
+                assert np.all(p_plus[table.region == 3] == 0.0)
+                z_minus, z_zero, z_plus = table.z
+                assert np.all((z_minus <= -1.0) & (-1.0 <= z_zero))
+                assert np.all((z_zero <= 1.0) & (1.0 <= z_plus))
+                if k >= len(points) - 2:
+                    continue
+                mu, sigma = spec.arrays()
+                x = table.points()
+                mean = np.sum(table.p * x, axis=0)
+                var = np.sum(table.p * (x - mean) ** 2, axis=0)
+                scale = np.abs(mu - c) + sigma + lam
+                assert np.all(np.abs(mean - mu) <= 1e-12 * scale)
+                assert np.all(np.abs(var - sigma * sigma) <= 1e-12 * sigma * scale)
+            ties = points[-2:]
             for spec, c, lam in ties:
                 table = mass_table(spec.mu, spec.sigma, c, lam)
                 assert [self.REGIONS[k] for k in table.region] == [r for _, r in self.TIES]
                 assert np.all(table.margin <= 1e-12)
 
     def test_random_points_cover_every_region(self):
-        seen = set()
+        """Each draw lands in the region it was drawn inside, and every
+        spec has at least four coordinates, so all four regions occur."""
         for spec, c, lam in self.points()[:-2]:
-            seen.update(mass_table(spec.mu, spec.sigma, c, lam).region.tolist())
-        assert seen == {0, 1, 2, 3}
+            region = mass_table(spec.mu, spec.sigma, c, lam).region
+            assert region.tolist() == [k % 4 for k in range(spec.n)]
 
     def test_gradient_and_value_match_phi_array(self):
         h = 1e-6

@@ -1,7 +1,9 @@
 """The runtime needs numpy only; scipy is a test dependency.  Every name the
-package exports is exported by its home module too."""
+package exports is exported by its home module too, and every name the
+bench tracer wraps exists in its module."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,5 +40,20 @@ def test_package_exports_are_exported_by_their_home_modules():
         for name in rangebounds.__all__
         if name != "__version__"
         and name not in importlib.import_module(getattr(rangebounds, name).__module__).__all__
+    ]
+    assert missing == []
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracing.TRACED.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"rangebounds.{layer}"), name)
     ]
     assert missing == []
