@@ -22,7 +22,7 @@ import numpy as np
 
 from rangebounds import (
     MomentSpec,
-    bnt_max_bound,
+    bnt_range,
     plackett_iid_bound,
     rho_bound,
 )
@@ -51,8 +51,6 @@ def sweep_rows(config: argparse.Namespace) -> list[dict[str, float | None]]:
     rows: list[dict[str, float | None]] = []
     for t, spec in family_specs(config):
         report = rho_bound(spec)
-        flipped = MomentSpec(mu=tuple(-m for m in spec.mu), sigma=spec.sigma)
-        bnt = bnt_max_bound(spec)[0] + bnt_max_bound(flipped)[0]
         homogeneous = max(spec.mu) == min(spec.mu) and max(spec.sigma) == min(
             spec.sigma
         )
@@ -63,7 +61,7 @@ def sweep_rows(config: argparse.Namespace) -> list[dict[str, float | None]]:
                 "n": float(spec.n),
                 "rho": report.rho,
                 "ag": report.ag,
-                "bnt_range": bnt,
+                "bnt_range": bnt_range(spec),
                 "plackett": plackett,
                 "infimum": report.infimum,
                 "ag_gap": report.ag - report.rho,

@@ -45,6 +45,7 @@ from .solver import (
     ag_bound,
     ag_general_bound,
     bnt_max_bound,
+    bnt_range,
     equal_means_bound,
     gamma2_bound,
     minimize_phi,
@@ -85,6 +86,7 @@ __all__ = [
     "ag_tightness",
     "bnt_extremal_max",
     "bnt_max_bound",
+    "bnt_range",
     "build_extremal_joint",
     "check_moments",
     "classify_regions",

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .extremal import AttainingJoint, JointDiscreteDistribution, extremal_components
 from .objective import MomentSpec
-from .solver import DEFAULT_TOL, bnt_max_bound, plackett_iid_bound, rho_bound
+from .solver import DEFAULT_TOL, bnt_range, plackett_iid_bound, rho_bound
 from .verify import MomentCheckReport, check_moments, mc_expected_range
 
 __all__ = ["CliConfig", "run", "main"]
@@ -278,15 +278,13 @@ def _homogeneous(spec: MomentSpec) -> bool:
 def _run_compare(config: CliConfig) -> int:
     spec = MomentSpec.from_json_dict(_read_input(config.input_source))
     report = rho_bound(spec, tol=config.tol)
-    flipped = MomentSpec(mu=tuple(-m for m in spec.mu), sigma=spec.sigma)
-    bnt_range = bnt_max_bound(spec)[0] + bnt_max_bound(flipped)[0]
     plackett = (
         plackett_iid_bound(spec.n, spec.sigma[0]) if _homogeneous(spec) else None
     )
     payload = {
         "rho": report.rho,
         "ag": report.ag,
-        "bnt_range": bnt_range,
+        "bnt_range": bnt_range(spec),
         "plackett": plackett,
         "infimum": report.infimum,
     }

@@ -404,51 +404,6 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
     return ProbabilityMatrix._from_cells(len(pv), *cells)
 
 
-def _strong_components(succ: list[list[int]]) -> list[int]:
-    """Strongly connected component label of every node, by Tarjan (1972).
-
-    Iterative, so the depth of the search is bounded by memory rather than
-    by the interpreter's recursion limit.  A visited node still without a
-    label is exactly a node on Tarjan's stack.
-    """
-    size = len(succ)
-    index = [-1] * size
-    low = [0] * size
-    label = [-1] * size
-    stack: list[int] = []
-    counter = labels = 0
-    for root in range(size):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if label[w] < 0 and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        label[w] = labels
-                        if w == v:
-                            break
-                    labels += 1
-    return label
-
-
 def _path(adj: list[list[int]], src: int, dst: int) -> list[int]:
     """Nodes of a shortest path src, ..., dst, by breadth-first search."""
     parent = {src: src}
@@ -493,21 +448,64 @@ def _positive_cycle(positive: np.ndarray) -> list[int] | None:
     return None
 
 
+def _exchange_cycle(positive: np.ndarray) -> list[int] | None:
+    """A cycle of cells that exchange mass, or None when there is none.
+
+    Call a row or column massive if it holds a positive cell.  Without a
+    zero cell (i, j), i != j, in a massive row and a massive column, a
+    cycle can use only positive cells, and :func:`_positive_cycle` finds
+    one.  Otherwise take the first such cell.  If some k gives in column j
+    and some m != k gives in row i, then (i, j)+, (k, j)-, (k, m)+, (i, m)-
+    is a cycle.  Otherwise column j and row i both give only through the
+    same k.  A positive cell (l, m) with l != k and m != k then closes
+    (i, j)+, (k, j)-, (k, m)+, (l, m)-, (l, k)+, (i, k)-, and it exists
+    exactly when the positive cells are not a star, all in row k or column
+    k.  In a star at k every such zero cell has i, j != k, and every path
+    out of it returns only to row k, so no cycle passes through a zero
+    cell; nor through positive cells alone, which in a star are a forest.
+    """
+    n = positive.shape[0]
+    open_ = ~positive & positive.any(axis=1)[:, None] & positive.any(axis=0)
+    np.fill_diagonal(open_, False)
+    if not open_.any():
+        return _positive_cycle(positive)
+    i, j = divmod(int(open_.argmax()), n)
+    in_column = np.flatnonzero(positive[:, j]).tolist()
+    in_row = np.flatnonzero(positive[i]).tolist()
+    for k in in_column:
+        for m in in_row:
+            if m != k:
+                return [i, n + j, k, n + m]
+    k = in_column[0]
+    outside = positive.copy()
+    outside[k] = outside[:, k] = False
+    if not outside.any():
+        return None
+    l, m = divmod(int(outside.argmax()), n)
+    return [i, n + j, k, n + m, l, n + k]
+
+
 def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
     """A different zero-diagonal coupling with the same marginals, or None.
 
     Another coupling exists exactly when mass can be shifted around a cycle
     of cells that alternately receive mass (any off-diagonal cell) and give
-    it (any positive cell) without using one cell both ways.  In the
-    exchange digraph of the transportation polytope (Klee & Witzgall, 1968)
-    on rows r_i and columns c_j, with r_i -> c_j for every off-diagonal cell
-    and c_j -> r_i for every positive cell, such a cycle is a directed cycle
-    of length at least 4.  It either uses a one-way edge (a zero cell), which
-    then lies inside one strongly connected component, where a shortest
-    path back closes it; or it uses only positive cells, which then contain
-    an undirected cycle.  The components come from Tarjan's algorithm and
-    the positive cycle from union-find, so the whole certificate is O(n**2)
-    with no recursion, and ``None`` certifies the coupling is the only one.
+    it (any positive cell), touching each row and column at most once.  In
+    the exchange digraph of the transportation polytope (Klee & Witzgall,
+    1968) every row reaches every column but its own, so the search
+    reduces to a test on the pattern of positive cells: such a cycle
+    exists exactly when
+
+    * the positive cells contain an undirected cycle, found by union-find,
+      or
+    * some zero cell (i, j), i != j, lies in a row and a column that hold
+      positive cells, and the positive cells are not a star: not all in
+      row k or column k for one k.
+
+    :func:`_exchange_cycle` proves the rule and builds the cycle, of four
+    or six cells in the second case.  The certificate is O(n**2) with no
+    search and no recursion, and ``None`` certifies the coupling is the
+    only one.
 
     Otherwise the smallest giving mass is shifted around the cycle found.
     """
@@ -518,19 +516,9 @@ def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
     q = m.q
     n = m.n
     positive = q > 0.0
-    columns = list(range(n, 2 * n))
-    succ = [columns[:i] + columns[i + 1 :] for i in range(n)]
-    succ += [np.flatnonzero(positive[:, j]).tolist() for j in range(n)]
-    label = np.asarray(_strong_components(succ))
-    one_way = ~positive & (label[:n, None] == label[None, n:])
-    np.fill_diagonal(one_way, False)
-    if one_way.any():
-        i, j = np.argwhere(one_way)[0].tolist()
-        cycle: list[int] | None = [i] + _path(succ, n + j, i)[:-1]
-    else:
-        cycle = _positive_cycle(positive)
-        if cycle is None:
-            return None
+    cycle = _exchange_cycle(positive)
+    if cycle is None:
+        return None
     # Cell (rows[t], cols[t]) receives mass and (rows[t + 1], cols[t]) gives.
     rows = cycle[0::2]
     cols = [v - n for v in cycle[1::2]]
@@ -769,14 +757,23 @@ class PairSampler:
 
     With delta = sigma1**2 + sigma2**2 - 2 rho sigma1 sigma2 > 0 the pair is
     a sign variable S = +/-1 (probability of +1 chosen to fix the means)
-    mixed with an independent two-point variable T:
+    mixed with an independent two-point variable T, so that X1 - X2 =
+    gamma2 * S almost surely while means, variances, and correlation all
+    match.  Its four atoms are formed once, as offsets from the means, with
+    d = mu1 - mu2 and c = rho sigma1 sigma2:
 
-        X1 = [gamma2 (sigma1**2 - rho sigma1 sigma2) S + T] / delta,
-        X2 = [gamma2 (rho sigma1 sigma2 - sigma2**2) S + T] / delta,
+        X1 = mu1 + ((sigma1**2 - c) w +/- t) / delta,
+        X2 = mu2 + ((c - sigma2**2) w +/- t) / delta,
 
-    so that X1 - X2 = gamma2 * S almost surely while means, variances, and
-    correlation all match.  delta = 0 (equal sigmas, rho = 1) degenerates to
-    a common shift: X = (mu1 + T, mu2 + T).
+    with w = gamma - d for S = +1, w = -(gamma + d) for S = -1, and t the
+    standard deviation of T; P(S = +1) = (gamma + d) / (2 gamma).  Here
+    gamma = hypot(d, sqrt(delta)) is gamma2 formed from delta itself, so
+    (gamma - d)(gamma + d) = delta holds to rounding and gamma > 0 whenever
+    delta > 0.  Whichever of gamma -/+ d cancels is formed as
+    delta / (gamma + |d|), so no atom loses the spread to the means; the
+    smaller probability is formed from that term and the other as 1 minus
+    it, so the two sum to 1.  delta = 0 (equal sigmas, rho = 1) degenerates
+    to a common shift: X = (mu1 + T, mu2 + T) with T = +/-sigma1.
 
     Instances carry a private seeded stream; ``sample(k)`` advances it, while
     ``sample(k, seed=...)`` uses a fresh stream and leaves the instance
@@ -796,23 +793,34 @@ class PairSampler:
             raise ValidationError("sigmas must be positive")
         if abs(self.rho) > 1.0:
             raise ValidationError("correlation must lie in [-1, 1]")
-        self.gamma2 = gamma2_bound(self.mu1, self.mu2, self.sigma1, self.sigma2, self.rho)
-        self.delta = (
-            self.sigma1**2 + self.sigma2**2 - 2.0 * self.rho * self.sigma1 * self.sigma2
-        )
-        if self.delta > 0.0:
-            self.p_plus = 0.5 * (1.0 + (self.mu1 - self.mu2) / self.gamma2)
-            cross = self.rho * self.sigma1 * self.sigma2
-            self.coef1 = self.gamma2 * (self.sigma1**2 - cross)
-            self.coef2 = self.gamma2 * (cross - self.sigma2**2)
-            self.t_mean = (
-                self.mu1 * self.sigma2**2
-                + self.mu2 * self.sigma1**2
-                - cross * (self.mu1 + self.mu2)
-            )
-            t_var = self.delta * (self.sigma1 * self.sigma2) ** 2 * (1.0 - self.rho**2)
-            self.t_std = math.sqrt(max(t_var, 0.0))
         self._rng = np.random.default_rng(self.seed)
+        self.gamma2 = gamma2_bound(self.mu1, self.mu2, self.sigma1, self.sigma2, self.rho)
+        s1, s2, rho = self.sigma1, self.sigma2, self.rho
+        self.delta = s1**2 + s2**2 - 2.0 * rho * s1 * s2
+        if self.delta == 0.0:
+            self.atoms = np.array([[self.mu1, self.mu2]]) + np.array([[s1], [-s1]])
+            self.probs = (0.5, 0.5)
+            return
+        d = self.mu1 - self.mu2
+        cross = rho * s1 * s2
+        gamma = math.hypot(d, math.sqrt(self.delta))
+        big = gamma + abs(d)
+        small = self.delta / big
+        up, down = (small, big) if d >= 0.0 else (big, small)
+        p_small = small / (2.0 * gamma)
+        self.p_plus = 1.0 - p_small if d >= 0.0 else p_small
+        p_minus = p_small if d >= 0.0 else 1.0 - p_small
+        t_std = math.sqrt(max(self.delta * (s1 * s2) ** 2 * (1.0 - rho**2), 0.0))
+        # Rows (S, T) = (+1, -), (+1, +), (-1, -), (-1, +).
+        w = np.array([up, up, -down, -down])
+        t = np.array([-t_std, t_std, -t_std, t_std])
+        self.atoms = np.column_stack(
+            (
+                self.mu1 + ((s1**2 - cross) * w + t) / self.delta,
+                self.mu2 + ((cross - s2**2) * w + t) / self.delta,
+            )
+        )
+        self.probs = (0.5 * self.p_plus,) * 2 + (0.5 * p_minus,) * 2
 
     def sample(self, n_samples: int, seed: int | None = None) -> np.ndarray:
         """An (n_samples, 2) array of draws."""
@@ -821,42 +829,17 @@ class PairSampler:
             raise ValidationError("n_samples must be at least 1")
         rng = self._rng if seed is None else np.random.default_rng(seed)
         if self.delta == 0.0:
-            t = np.where(rng.random(n_samples) < 0.5, -self.sigma1, self.sigma1)
-            return np.column_stack((self.mu1 + t, self.mu2 + t))
-        sign = np.where(rng.random(n_samples) < self.p_plus, 1.0, -1.0)
-        t = np.where(
-            rng.random(n_samples) < 0.5,
-            self.t_mean - self.t_std,
-            self.t_mean + self.t_std,
-        )
-        x1 = (self.coef1 * sign + t) / self.delta
-        x2 = (self.coef2 * sign + t) / self.delta
-        return np.column_stack((x1, x2))
+            return self.atoms[(rng.random(n_samples) < 0.5).astype(int)]
+        sign = rng.random(n_samples) >= self.p_plus
+        return self.atoms[2 * sign + (rng.random(n_samples) >= 0.5)]
 
     def as_joint(self) -> JointDiscreteDistribution:
         """The same law as an explicit finite-support object (2-4 atoms)."""
         atoms: dict[tuple[float, float], float] = {}
-
-        def add(x1: float, x2: float, p: float) -> None:
-            if p <= 0.0:
-                return
-            key = (float(x1), float(x2))
-            atoms[key] = atoms.get(key, 0.0) + p
-
-        if self.delta == 0.0:
-            add(self.mu1 + self.sigma1, self.mu2 + self.sigma1, 0.5)
-            add(self.mu1 - self.sigma1, self.mu2 - self.sigma1, 0.5)
-        else:
-            for sign, ps in ((1.0, self.p_plus), (-1.0, 1.0 - self.p_plus)):
-                for t in (self.t_mean - self.t_std, self.t_mean + self.t_std):
-                    add(
-                        (self.coef1 * sign + t) / self.delta,
-                        (self.coef2 * sign + t) / self.delta,
-                        0.5 * ps,
-                    )
-        support = tuple(atoms.keys())
-        prob = tuple(atoms[k] for k in support)
-        return JointDiscreteDistribution(support=support, prob=prob)
+        for key, p in zip(map(tuple, self.atoms.tolist()), self.probs):
+            if p > 0.0:
+                atoms[key] = atoms.get(key, 0.0) + p
+        return JointDiscreteDistribution(support=tuple(atoms), prob=tuple(atoms.values()))
 
 
 def extremal_pair_given_correlation(

@@ -48,9 +48,9 @@ is served by a closed form.
 The module also provides every comparison bound: the mean-spread-plus-
 variance bound ``ag_bound`` and its weighted-sum generalization, the i.i.d.
 range bound ``plackett_iid_bound``, the expected-maximum bound
-``bnt_max_bound``, the equal-means closed form, and the pair bounds
-``gamma2_bound`` / ``pair_cov_bounds`` that also account for a known
-correlation.
+``bnt_max_bound`` with the range bound ``bnt_range`` built on it, the
+equal-means closed form, and the pair bounds ``gamma2_bound`` /
+``pair_cov_bounds`` that also account for a known correlation.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ __all__ = [
     "ag_general_bound",
     "plackett_iid_bound",
     "bnt_max_bound",
+    "bnt_range",
     "rho2_closed",
     "equal_means_bound",
     "minimize_phi",
@@ -265,20 +266,9 @@ def _newton_bisect(
     return x, evaluations
 
 
-def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
-    """Tight bound on E max_i X_i, returned together with its defining root.
-
-    y0 is the unique solution of sum_i (y0 - mu_i)/alpha_i(y0) = n - 2 with
-    alpha_i = sqrt((mu_i - y0)**2 + sigma_i**2).  The left side increases
-    strictly, with slope sum_i sigma_i**2/alpha_i**3, from -n to n; it is
-    below n - 2 at min mu - n max sigma and above it at max mu + n max sigma,
-    which brackets the root.  The bound is -(n-2)/2 * y0 + (1/2) sum mu_i +
-    (1/2) sum alpha_i, whose terms cancel, so it is summed as y0 + (1/2)
-    sum_i (alpha_i - d_i), d_i = y0 - mu_i, with alpha_i - d_i formed as
-    sigma_i**2 / (alpha_i + d_i) where d_i > 0.
-    """
-    mu, sigma = spec.arrays()
-    n = spec.n
+def _bnt_max(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """E max bound and its root y0 for the means and sigmas given."""
+    n = mu.size
 
     def fdf(y: float) -> tuple[float, float]:
         d = y - mu
@@ -287,11 +277,41 @@ def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
         return float(np.sum(d / alpha)) - (n - 2), float(slope)
 
     span = n * float(sigma.max())
-    y0, _ = _newton_bisect(fdf, float(mu.min()) - span, float(mu.max()) + span)
+    top = np.partition(mu, n - 2)
+    y0, _ = _newton_bisect(fdf, float(top[n - 2]) - span, float(top[n - 1]) + span)
     d = y0 - mu
     alpha = np.hypot(d, sigma)
     gap = np.where(d > 0.0, sigma * (sigma / (alpha + np.abs(d))), alpha - d)
     return y0 + 0.5 * math.fsum(gap.tolist()), y0
+
+
+def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
+    """Tight bound on E max_i X_i, returned together with its defining root.
+
+    y0 is the unique solution of sum_i (y0 - mu_i)/alpha_i(y0) = n - 2 with
+    alpha_i = sqrt((mu_i - y0)**2 + sigma_i**2).  The left side increases
+    strictly, with slope sum_i sigma_i**2/alpha_i**3, from -n to n.  It is
+    below n - 2 at the second-largest mean minus n max sigma, where the two
+    largest terms are each at most -n/sqrt(n**2 + 1) and the other n - 2
+    each below 1, and above it at max mu + n max sigma, which brackets the
+    root.  The bound is -(n-2)/2 * y0 + (1/2) sum mu_i + (1/2) sum alpha_i,
+    whose terms cancel, so it is summed as y0 + (1/2) sum_i (alpha_i - d_i),
+    d_i = y0 - mu_i, with alpha_i - d_i formed as sigma_i**2 / (alpha_i +
+    d_i) where d_i > 0.
+    """
+    return _bnt_max(*spec.arrays())
+
+
+def bnt_range(spec: MomentSpec) -> float:
+    """E max X + E max(-X) from :func:`bnt_max_bound`, an upper bound on
+    the expected range that rho_n never exceeds.
+
+    The sum is translation-invariant, so it is formed in the spec's unit
+    frame (:func:`scaled_deviations`) and scaled back by 2**e: summed at
+    the scale of the means, the two terms cancel to ulp(mu_bar).
+    """
+    dev, sig, e = scaled_deviations(spec)
+    return math.ldexp(_bnt_max(dev, sig)[0] + _bnt_max(-dev, sig)[0], e)
 
 
 def gamma2_bound(

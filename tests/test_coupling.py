@@ -239,12 +239,22 @@ class TestPerturbCoupling:
             perturb_coupling(matrix)
 
     def test_agrees_with_exhaustive_search(self):
-        """The exchange-digraph certificate and the exhaustive cycle search
-        agree on whether another coupling exists: on random sparse matrices,
-        on star matrices, and on the couplings of star and general specs."""
+        """The star test and the exhaustive cycle search agree on whether
+        another coupling exists: on every zero-diagonal positivity pattern
+        at n = 2-4, on random sparse matrices, on star matrices, and on the
+        couplings of star and general specs."""
         rng = np.random.default_rng(97)
         matrices = []
-        while len(matrices) < 1000:
+        for n in range(2, 5):
+            cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+            for pattern in range(1, 1 << len(cells)):
+                q = np.zeros((n, n))
+                for bit, cell in enumerate(cells):
+                    if pattern >> bit & 1:
+                        q[cell] = 1.0 + bit
+                matrices.append(ProbabilityMatrix(q=q / q.sum()))
+        patterns = len(matrices)
+        while len(matrices) < patterns + 1000:
             n = int(rng.integers(2, 9))
             q = np.where(rng.random((n, n)) < rng.uniform(0.05, 0.6), rng.random((n, n)), 0.0)
             np.fill_diagonal(q, 0.0)
@@ -267,9 +277,9 @@ class TestPerturbCoupling:
         assert 200 < unique < len(matrices) - 200
 
     def test_large_star_certified_without_recursion(self):
-        """A forced coupling at n = 600, past 1000 rows and columns in all:
-        the certificate is iterative and O(n**2), so neither the recursion
-        limit nor the size stops it."""
+        """A forced coupling at n = 600: the star test reads the verdict off
+        the positivity pattern in O(n**2) with no search, so neither the
+        recursion limit nor the size stops it."""
         rng = np.random.default_rng(5)
         assert perturb_coupling(star_matrix(rng, 600, center=17)) is None
 

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -220,6 +221,35 @@ class TestBntExtremalMax:
             assert emax == pytest.approx(value, abs=1e-9)
             assert check_moments(joint, spec, tol=1e-9).passed
 
+    def test_root_bracket_starts_below_the_second_largest_mean(self):
+        """Two means at 0 and one 1e9 sigma below: bracketed from the lowest
+        mean, the root stopped at 2**-60 of a width of 1e9 and missed its
+        true value 2.5e-19 by 5e-12, so the law's masses summed to
+        1 + 5e-12 and were refused."""
+        spec = MomentSpec(mu=(0.0, 0.0, -1e9), sigma=(1.0, 1.0, 1.0))
+        with decimal.localcontext() as context:
+            context.prec = 50
+
+            def f(y):
+                return sum(
+                    (y - m) / ((y - m) ** 2 + 1).sqrt() for m in map(decimal.Decimal, spec.mu)
+                ) - 1
+
+            lo, hi = decimal.Decimal(-1), decimal.Decimal(1)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+            root = float(lo)
+        value, y0 = bnt_max_bound(spec)
+        assert root == pytest.approx(2.5e-19, rel=1e-9)
+        assert abs(y0 - root) <= 1e-17
+        joint = bnt_extremal_max(spec)
+        assert len(joint.prob) == 2
+        # The skipped outcome's exact mass, 2.5e-19 at 1e9, carries 2.5e-10
+        # of the bound.
+        emax = math.fsum(p * max(vec) for vec, p in zip(joint.support, joint.prob))
+        assert emax == pytest.approx(value, rel=1e-9)
+
     def test_homogeneous_four_variables(self):
         spec = MomentSpec(mu=(0.0,) * 4, sigma=(1.0,) * 4)
         joint = bnt_extremal_max(spec)
@@ -251,6 +281,34 @@ class TestPairSampler:
                 p * vec[0] * vec[1] for vec, p in zip(joint.support, joint.prob)
             )
             assert cross - mean1 * mean2 == pytest.approx(rho * s1 * s2, abs=1e-9)
+        # Means 1e8 sigma apart: the atoms are offsets from the means, so the
+        # moments hold to the resolution of floats near 1e8, relative to
+        # sigma**2.
+        s1, s2 = 1.0, 1.3
+        joint = extremal_pair_given_correlation(1e8, 0.0, s1, s2, 0.0).as_joint()
+        mean1, var1 = joint_mean_and_var(joint, 0)
+        mean2, var2 = joint_mean_and_var(joint, 1)
+        assert abs(mean1 - 1e8) <= 1e-7 * s1
+        assert abs(mean2) <= 1e-7 * s2
+        assert abs(var1 - s1 * s1) <= 1e-6 * s1 * s1
+        assert abs(var2 - s2 * s2) <= 1e-6 * s2 * s2
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_near_degenerate_pair_with_equal_means_is_a_law(self, k):
+        """Equal means, equal sigmas and rho = 1 - 10**-k: the two sign
+        probabilities sum to 1 although 1 + rho rounds in the gap bound, and
+        the gap stays positive where rho rounds to the float below 1."""
+        rho = 1.0 - 10.0**-k
+        joint = extremal_pair_given_correlation(3.0, 3.0, 1.0, 1.0, rho).as_joint()
+        assert math.fsum(joint.prob) == pytest.approx(1.0, abs=4e-16)
+        for i in (0, 1):
+            mean, var = joint_mean_and_var(joint, i)
+            assert mean == pytest.approx(3.0, abs=1e-9)
+            assert var == pytest.approx(1.0, abs=1e-9)
+        cross = math.fsum(
+            p * (vec[0] - 3.0) * (vec[1] - 3.0) for vec, p in zip(joint.support, joint.prob)
+        )
+        assert cross == pytest.approx(rho, abs=1e-9)
 
     def test_coordinate_gap_is_constant(self):
         sampler = extremal_pair_given_correlation(0.5, -0.5, 1.0, 2.0, 0.3)

@@ -23,6 +23,7 @@ from rangebounds import (
     ag_general_bound,
     ag_tightness,
     bnt_max_bound,
+    bnt_range,
     equal_means_bound,
     gamma2_bound,
     minimize_phi,
@@ -152,8 +153,23 @@ class TestBntMaxBound:
         for _ in range(25):
             spec = random_spec(rng)
             flipped = MomentSpec(mu=tuple(-m for m in spec.mu), sigma=spec.sigma)
-            bnt_range = bnt_max_bound(spec)[0] + bnt_max_bound(flipped)[0]
-            assert rho_bound(spec).rho <= bnt_range + 1e-9
+            total = bnt_max_bound(spec)[0] + bnt_max_bound(flipped)[0]
+            assert rho_bound(spec).rho <= total + 1e-9
+
+    def test_range_in_the_frame_is_never_below_rho(self):
+        """E max X + E max(-X) bounds the expected range, so it is at least
+        rho.  Summed at the scale of the means the two terms cancel; formed
+        in the spec's frame, it keeps the ordering to rounding, on pairs at
+        a = 2**k offset by up to 1e8 sigma and at n = 3..8."""
+        rng = np.random.default_rng(19)
+        for n in [2] * 200 + [3, 4, 5, 6, 7, 8] * 10:
+            a = 2.0 ** int(rng.integers(-399, 400))
+            b = float(rng.uniform(-1e8, 1e8))
+            mu = a * (rng.uniform(-1.0, 1.0, n) + b)
+            sigma = a * rng.uniform(0.2, 1.5, n)
+            spec = MomentSpec(mu=tuple(mu.tolist()), sigma=tuple(sigma.tolist()))
+            rho = rho_bound(spec).rho
+            assert bnt_range(spec) >= rho * (1.0 - 4.0 * 2.0**-52)
 
 
 class TestPairBounds:
