@@ -294,9 +294,7 @@ def _run_compare(config: CliConfig) -> int:
 
 def _range_distribution(joint: AttainingJoint) -> list[tuple[float, float]]:
     """Distinct range values with masses, merging values within 1e-9."""
-    pairs = sorted(
-        (max(vec) - min(vec), p) for vec, p in zip(joint.support, joint.prob)
-    )
+    pairs = sorted(zip(joint.atom_ranges().tolist(), joint.prob))
     merged: list[list[float]] = []
     for value, mass in pairs:
         if merged and value - merged[-1][0] <= 1e-9:

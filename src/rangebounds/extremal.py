@@ -11,15 +11,21 @@ coordinate j at its lower point, and every other coordinate at its middle
 point.  Such a matrix exists if and only if max_i (p_i^+ + p_i^-) <= 1,
 which always holds at the optimum.
 
-The module also decides when the closed-form comparison bound is tight
-(`ag_tightness`), builds the distribution attaining the expected-maximum
-bound (`bnt_extremal_max`), and constructs the correlated pair with constant
-coordinate gap (`extremal_pair_given_correlation`).
+The module also builds the laws that attain the comparison bounds: the
+witness of the closed-form dispersion bound when it is tight
+(`ag_tightness`), the distribution attaining the expected-maximum bound
+(`bnt_extremal_max`), and the correlated pair with constant coordinate gap
+(`extremal_pair_given_correlation`).  Each reads its quantities off the
+function in :mod:`rangebounds.solver` that computes its bound (theta_i**2
+and S from the dispersion bound's sum, the root and the cancellation-free
+legs from the expected-maximum bound, the pair's frame and Var(X1 - X2)
+from the gap bound), so every formula is written once, there.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -33,8 +39,10 @@ from .objective import DualPoint, MassTable, MomentSpec, mass_table
 from .solver import (
     DEFAULT_TOL,
     BoundReport,
-    bnt_max_bound,
-    gamma2_bound,
+    _ag_bound,
+    _bnt_max,
+    _dispersion,
+    _pair,
     rho_bound,
     scaled_deviations,
 )
@@ -59,12 +67,6 @@ _EPS = float(np.finfo(float).eps)
 _MASS_EPS = 1e-14
 
 
-def _clamp_probability(p: float, context: str) -> float:
-    if p < -1e-12:
-        raise ValidationError(f"negative probability {p!r} in {context}")
-    return 0.0 if p < 0.0 else p
-
-
 class ProbabilityMatrix:
     """An n x n nonnegative matrix with total mass 1, stored as its positive cells.
 
@@ -80,6 +82,8 @@ class ProbabilityMatrix:
             raise ValidationError(f"q must be a square matrix, got shape {q.shape}")
         if q.shape[0] < 2:
             raise ValidationError("q must be at least 2 x 2")
+        if not np.all(np.isfinite(q)):
+            raise ValidationError("q must be finite")
         if q.min() < -1e-15:
             raise ValidationError(f"negative entry {q.min()!r} in probability matrix")
         q[q < 0.0] = 0.0
@@ -160,6 +164,8 @@ class JointDiscreteDistribution:
         dims = {len(vec) for vec in support}
         if len(dims) != 1:
             raise ValidationError("support vectors must share one dimension")
+        if not all(map(math.isfinite, itertools.chain(prob, *support))):
+            raise ValidationError("support and prob must be finite")
         if min(prob) < 0.0:
             raise ValidationError("probabilities must be nonnegative")
         total = math.fsum(prob)
@@ -689,35 +695,34 @@ def ag_tightness(
         (i)  |mu_i - mu_bar| <= sqrt(2) theta_i**2 / sqrt(S),
         (ii) theta_i**2 <= S / 2,
 
-    with theta_i**2 = (mu_i - mu_bar)**2 + sigma_i**2.  When tight, the
-    attaining joint takes values mu_bar +/- AG/2 at one coordinate each and
-    mu_bar elsewhere.  ``unique`` says whether the witness's coupling is the
-    only zero-diagonal one with its tail masses: True when some (ii) holds
-    with equality (the coupling is then forced), and otherwise the verdict
-    of :func:`perturb_coupling`.  It is None only when the bound is not
-    tight.
+    with theta_i**2 = (mu_i - mu_bar)**2 + sigma_i**2.  theta_i**2, S and
+    AG are the ones :func:`~rangebounds.solver.ag_bound` forms, in the
+    spec's unit frame, where the squares cannot overflow; (i) and (ii) are
+    homogeneous of degree 2, so the verdicts are those of the raw values.
+    When tight, the attaining joint takes values mu_bar +/- AG/2 at one
+    coordinate each and mu_bar elsewhere.  Its tail masses are the mass
+    table's at the dual optimum (mu_bar, AG/4), formed in the frame at the
+    mean of the frame's deviations: there the upper and the lower tail
+    masses each sum to 1 to rounding, while at 0 they would differ by the
+    deviations' own rounding, of order ulp(mu_bar) over sigma.  ``unique``
+    says whether the witness's coupling is the only zero-diagonal one with
+    its tail masses: True when some (ii) holds with equality (the coupling
+    is then forced), and otherwise the verdict of
+    :func:`perturb_coupling`.  It is None only when the bound is not tight.
     """
-    mb = spec.mu_bar
-    # In units of 2**e the squares cannot overflow, and (i) and (ii) are
-    # homogeneous of degree 2, so the verdicts are those of the raw values.
-    d, s, e = scaled_deviations(spec)
-    theta2 = d * d + s * s
-    s_total = math.fsum(theta2.tolist())
-    ag_unit = math.sqrt(2.0 * s_total)
-    slack = 1e-12 * s_total
+    frame = d, s, e = scaled_deviations(spec)
+    theta2, total = _dispersion(frame)
+    ag_unit = _ag_bound(total, 0)
+    slack = 1e-12 * total
     cond_i = bool(np.all(0.5 * np.abs(d) * ag_unit <= theta2 + slack))
-    cond_ii = bool(np.all(theta2 <= 0.5 * s_total + slack))
+    cond_ii = bool(np.all(theta2 <= 0.5 * total + slack))
     if not (cond_i and cond_ii):
         return False, None, None
-    ag = math.ldexp(ag_unit, e)
-    # (mu_bar, AG/4) is then the dual optimum, (0, AG/4) in the frame, with
-    # every coordinate in I2 or on its boundary, and the table there gives
-    # the tail masses.
-    table = mass_table(d, s, 0.0, 0.25 * ag_unit)
+    table = mass_table(d, s, math.fsum(d.tolist()) / spec.n, 0.25 * ag_unit)
     tails = table.p[2] + table.p[0]
     coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
     unique = float(tails.max()) >= 1.0 - 1e-12 or perturb_coupling(coupling) is None
-    half = 0.5 * ag
+    mb, half = spec.mu_bar, 0.5 * _ag_bound(total, e)
     n = spec.n
     joint = AttainingJoint(
         x_zero=np.full(n, mb), x_plus=np.full(n, mb + half), x_minus=np.full(n, mb - half),
@@ -729,51 +734,56 @@ def ag_tightness(
 def bnt_extremal_max(spec: MomentSpec) -> JointDiscreteDistribution:
     """The n-outcome law attaining the expected-maximum bound.
 
-    Outcome j lifts coordinate j to y0 + alpha_j and drops every other
-    coordinate i to y0 - alpha_i, with probability (1 - (y0 - mu_j)/alpha_j)/2.
+    With y0 the bound's root and d_i = y0 - mu_i, alpha_i = sqrt(d_i**2 +
+    sigma_i**2), outcome j lifts coordinate j to mu_j + (d_j + alpha_j) =
+    y0 + alpha_j and drops every other coordinate i to mu_i - (alpha_i -
+    d_i) = y0 - alpha_i, with probability (alpha_j - d_j) / (2 alpha_j).
+    Each coordinate then has its mean and variance, and the masses sum to
+    1 at the root.  The legs alpha -/+ d and the root are those of
+    :func:`~rangebounds.solver.bnt_max_bound`, formed on the means less the
+    largest.  y0 lies within n max sigma of the largest mean, or else many
+    sigmas from every mean, so there the root is resolved to the sigmas
+    rather than to the spec's offset; a leg that cancels is formed as
+    sigma**2 over the other.  An outcome whose mass underflows to 0 is left
+    out.
     """
-    _, y0 = bnt_max_bound(spec)
-    alpha = [math.hypot(m - y0, s) for m, s in zip(spec.mu, spec.sigma)]
-    probs = [
-        _clamp_probability(0.5 * (1.0 - (y0 - m) / a), "max-attaining law")
-        for m, a in zip(spec.mu, alpha)
-    ]
-    support: list[tuple[float, ...]] = []
-    prob: list[float] = []
-    base = [y0 - a for a in alpha]
-    for j, pj in enumerate(probs):
-        if pj <= 0.0:
-            continue
-        vec = list(base)
-        vec[j] = y0 + alpha[j]
-        support.append(tuple(vec))
-        prob.append(pj)
-    return JointDiscreteDistribution(support=tuple(support), prob=tuple(prob))
+    mu, sigma = spec.arrays()
+    _, _, alpha, gap, rise = _bnt_max(mu - mu.max(), sigma)
+    prob = gap / (2.0 * alpha)
+    outcomes = np.flatnonzero(prob > 0.0)
+    support = np.tile(mu - gap, (outcomes.size, 1))
+    support[np.arange(outcomes.size), outcomes] = (mu + rise)[outcomes]
+    return JointDiscreteDistribution(
+        support=tuple(map(tuple, support.tolist())), prob=tuple(prob[outcomes].tolist())
+    )
 
 
 @dataclass
 class PairSampler:
     """Sampler for a correlated pair whose coordinate gap is constant.
 
-    With delta = sigma1**2 + sigma2**2 - 2 rho sigma1 sigma2 > 0 the pair is
-    a sign variable S = +/-1 (probability of +1 chosen to fix the means)
-    mixed with an independent two-point variable T, so that X1 - X2 =
-    gamma2 * S almost surely while means, variances, and correlation all
-    match.  Its four atoms are formed once, as offsets from the means, with
-    d = mu1 - mu2 and c = rho sigma1 sigma2:
+    With delta = Var(X1 - X2) > 0 the pair is a sign variable S = +/-1
+    (probability of +1 chosen to fix the means) mixed with an independent
+    two-point variable T, so that X1 - X2 = gamma2 * S almost surely while
+    means, variances, and correlation all match.  d, the sigmas and delta
+    are those of :func:`~rangebounds.solver.gamma2_bound`, in the pair's
+    unit frame of 2**e, and gamma = hypot(d, sqrt(delta)) is its value
+    there, so ``gamma2`` is exactly the bound and (gamma - d)(gamma + d) =
+    delta holds to rounding.  The four atoms are offsets from the means:
 
-        X1 = mu1 + ((sigma1**2 - c) w +/- t) / delta,
-        X2 = mu2 + ((c - sigma2**2) w +/- t) / delta,
+        X1 = mu1 + 2**e (a1 w +/- t) / delta,
+        X2 = mu2 + 2**e (a2 w +/- t) / delta,
 
-    with w = gamma - d for S = +1, w = -(gamma + d) for S = -1, and t the
-    standard deviation of T; P(S = +1) = (gamma + d) / (2 gamma).  Here
-    gamma = hypot(d, sqrt(delta)) is gamma2 formed from delta itself, so
-    (gamma - d)(gamma + d) = delta holds to rounding and gamma > 0 whenever
-    delta > 0.  Whichever of gamma -/+ d cancels is formed as
-    delta / (gamma + |d|), so no atom loses the spread to the means; the
-    smaller probability is formed from that term and the other as 1 minus
-    it, so the two sum to 1.  delta = 0 (equal sigmas, rho = 1) degenerates
-    to a common shift: X = (mu1 + T, mu2 + T) with T = +/-sigma1.
+    with a1 = sigma1 (sigma1 - sigma2) + (1 - rho) sigma1 sigma2 and a2 =
+    sigma2 (sigma1 - sigma2) - (1 - rho) sigma1 sigma2, which differ by
+    delta, w = gamma - d for S = +1, w = -(gamma + d) for S = -1, and t =
+    sigma1 sigma2 sqrt(delta (1 - rho)(1 + rho)) the standard deviation of
+    T; P(S = +1) = (gamma + d) / (2 gamma).  None of these forms cancels as
+    rho nears 1, and whichever of gamma -/+ d cancels is formed as delta /
+    (gamma + |d|), so no atom loses the spread to the means; the smaller
+    probability is formed from that term and the other as 1 minus it, so
+    the two sum to 1.  delta = 0 (equal sigmas, rho = 1) degenerates to a
+    common shift: X = (mu1 + T, mu2 + T) with T = +/-sigma1.
 
     Instances carry a private seeded stream; ``sample(k)`` advances it, while
     ``sample(k, seed=...)`` uses a fresh stream and leaves the instance
@@ -789,35 +799,29 @@ class PairSampler:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
-            raise ValidationError("sigmas must be positive")
-        if abs(self.rho) > 1.0:
-            raise ValidationError("correlation must lie in [-1, 1]")
+        d, s1, s2, delta, e = _pair(self.mu1, self.mu2, self.sigma1, self.sigma2, self.rho)
         self._rng = np.random.default_rng(self.seed)
-        self.gamma2 = gamma2_bound(self.mu1, self.mu2, self.sigma1, self.sigma2, self.rho)
-        s1, s2, rho = self.sigma1, self.sigma2, self.rho
-        self.delta = s1**2 + s2**2 - 2.0 * rho * s1 * s2
-        if self.delta == 0.0:
-            self.atoms = np.array([[self.mu1, self.mu2]]) + np.array([[s1], [-s1]])
+        gamma = math.hypot(d, math.sqrt(delta))
+        self.gamma2 = math.ldexp(gamma, e)
+        if delta == 0.0:
+            self.atoms = np.add([[self.mu1, self.mu2]], [[self.sigma1], [-self.sigma1]])
             self.probs = (0.5, 0.5)
             return
-        d = self.mu1 - self.mu2
-        cross = rho * s1 * s2
-        gamma = math.hypot(d, math.sqrt(self.delta))
         big = gamma + abs(d)
-        small = self.delta / big
+        small = delta / big
         up, down = (small, big) if d >= 0.0 else (big, small)
         p_small = small / (2.0 * gamma)
         self.p_plus = 1.0 - p_small if d >= 0.0 else p_small
         p_minus = p_small if d >= 0.0 else 1.0 - p_small
-        t_std = math.sqrt(max(self.delta * (s1 * s2) ** 2 * (1.0 - rho**2), 0.0))
+        split = (1.0 - self.rho) * s1 * s2
+        t_std = s1 * s2 * math.sqrt(delta * (1.0 - self.rho) * (1.0 + self.rho))
         # Rows (S, T) = (+1, -), (+1, +), (-1, -), (-1, +).
         w = np.array([up, up, -down, -down])
         t = np.array([-t_std, t_std, -t_std, t_std])
         self.atoms = np.column_stack(
             (
-                self.mu1 + ((s1**2 - cross) * w + t) / self.delta,
-                self.mu2 + ((cross - s2**2) * w + t) / self.delta,
+                self.mu1 + np.ldexp(((s1 * (s1 - s2) + split) * w + t) / delta, e),
+                self.mu2 + np.ldexp(((s2 * (s1 - s2) - split) * w + t) / delta, e),
             )
         )
         self.probs = (0.5 * self.p_plus,) * 2 + (0.5 * p_minus,) * 2
@@ -828,7 +832,7 @@ class PairSampler:
         if n_samples < 1:
             raise ValidationError("n_samples must be at least 1")
         rng = self._rng if seed is None else np.random.default_rng(seed)
-        if self.delta == 0.0:
+        if len(self.probs) == 2:  # the common shift
             return self.atoms[(rng.random(n_samples) < 0.5).astype(int)]
         sign = rng.random(n_samples) >= self.p_plus
         return self.atoms[2 * sign + (rng.random(n_samples) >= 0.5)]

@@ -163,25 +163,27 @@ def scaled_deviations(spec: MomentSpec) -> _Frame:
     return np.ldexp(dev, -e), np.ldexp(sigma, -e), e
 
 
-def _dispersion(frame: _Frame) -> tuple[float, int]:
-    """S / 4**e and e, S = sum_i [(mu_i - mu_bar)**2 + sigma_i**2], from the
-    spec's unit frame (:func:`scaled_deviations`).
+def _dispersion(frame: _Frame) -> tuple[np.ndarray, float]:
+    """theta_i**2 = (mu_i - mu_bar)**2 + sigma_i**2 and their sum S, both
+    over 4**e, from the spec's unit frame (:func:`scaled_deviations`).
 
     ``np.float_power`` squares with the C library's ``pow``, as Python's
     ``**`` does, so the sum is bit-identical to a scalar loop of ``d**2``.
     """
-    dev, sig, e = frame
-    return math.fsum((np.float_power(dev, 2.0) + sig * sig).tolist()), e
+    dev, sig, _ = frame
+    theta2 = np.float_power(dev, 2.0) + sig * sig
+    return theta2, math.fsum(theta2.tolist())
 
 
-def _ag_bound(frame: _Frame) -> float:
-    total, e = _dispersion(frame)
+def _ag_bound(total: float, e: int) -> float:
+    """sqrt(2 S) * 2**e for the sum S / 4**e of :func:`_dispersion`."""
     return math.ldexp(math.sqrt(2.0 * total), e)
 
 
 def ag_bound(spec: MomentSpec) -> float:
     """Closed-form upper bound sqrt(2 * sum_i [(mu_i - mu_bar)**2 + sigma_i**2])."""
-    return _ag_bound(scaled_deviations(spec))
+    frame = scaled_deviations(spec)
+    return _ag_bound(_dispersion(frame)[1], frame[2])
 
 
 def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
@@ -198,8 +200,9 @@ def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
         )
     c_sum = math.fsum(cs.tolist())
     spread = math.fsum(np.float_power(cs - c_sum / cs.size, 2.0).tolist())
-    total, e = _dispersion(scaled_deviations(spec))
-    return spec.mu_bar * c_sum + math.ldexp(math.sqrt(spread) * math.sqrt(total), e)
+    frame = scaled_deviations(spec)
+    total = _dispersion(frame)[1]
+    return spec.mu_bar * c_sum + math.ldexp(math.sqrt(spread) * math.sqrt(total), frame[2])
 
 
 def plackett_iid_bound(n: int, sigma: float) -> float:
@@ -208,8 +211,8 @@ def plackett_iid_bound(n: int, sigma: float) -> float:
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     sigma = float(sigma)
-    if sigma <= 0.0:
-        raise ValidationError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     comb = math.comb(2 * n - 2, n - 1)
     return n * sigma * math.sqrt((2.0 / (2.0 * n - 1.0)) * (1.0 - 1.0 / comb))
 
@@ -266,8 +269,15 @@ def _newton_bisect(
     return x, evaluations
 
 
-def _bnt_max(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
-    """E max bound and its root y0 for the means and sigmas given."""
+def _bnt_max(
+    mu: np.ndarray, sigma: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """E max bound and its root y0 for the means and sigmas given, with
+    alpha_i and the two legs alpha_i - d_i and alpha_i + d_i, d_i = y0 - mu_i.
+
+    Whichever leg cancels is formed as sigma_i**2 over the other, so both
+    hold to relative precision however far mu_i lies from y0.
+    """
     n = mu.size
 
     def fdf(y: float) -> tuple[float, float]:
@@ -281,8 +291,10 @@ def _bnt_max(mu: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
     y0, _ = _newton_bisect(fdf, float(top[n - 2]) - span, float(top[n - 1]) + span)
     d = y0 - mu
     alpha = np.hypot(d, sigma)
-    gap = np.where(d > 0.0, sigma * (sigma / (alpha + np.abs(d))), alpha - d)
-    return y0 + 0.5 * math.fsum(gap.tolist()), y0
+    far = alpha + np.abs(d)
+    near = sigma * (sigma / far)
+    gap = np.where(d > 0.0, near, far)
+    return y0 + 0.5 * math.fsum(gap.tolist()), y0, alpha, gap, np.where(d > 0.0, far, near)
 
 
 def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
@@ -299,7 +311,7 @@ def bnt_max_bound(spec: MomentSpec) -> tuple[float, float]:
     d_i = y0 - mu_i, with alpha_i - d_i formed as sigma_i**2 / (alpha_i +
     d_i) where d_i > 0.
     """
-    return _bnt_max(*spec.arrays())
+    return _bnt_max(*spec.arrays())[:2]
 
 
 def bnt_range(spec: MomentSpec) -> float:
@@ -314,21 +326,37 @@ def bnt_range(spec: MomentSpec) -> float:
     return math.ldexp(_bnt_max(dev, sig)[0] + _bnt_max(-dev, sig)[0], e)
 
 
+def _pair(
+    mu1: float, mu2: float, sigma1: float, sigma2: float, rho: float
+) -> tuple[float, float, float, float, int]:
+    """A correlated pair in its unit frame: (d, s1, s2, delta, e).
+
+    d = mu1 - mu2, s1, s2 the sigmas and delta = Var(X1 - X2) = (s1 -
+    s2)**2 + 2 (1 - rho) s1 s2, all in units of 2**e, the pair's frame
+    (:func:`scaled_deviations`).  delta is a sum of nonnegative terms, so
+    it holds to relative precision as the pair nears the degenerate law
+    rho = 1, s1 = s2, where the form s1**2 + s2**2 - 2 rho s1 s2 cancels.
+    """
+    if not (sigma1 > 0.0 and sigma2 > 0.0):
+        raise ValidationError("sigmas must be positive")
+    if not abs(rho) <= 1.0:
+        raise ValidationError(f"correlation must lie in [-1, 1], got {rho}")
+    dev, sig, e = scaled_deviations(MomentSpec(mu=(mu1, mu2), sigma=(sigma1, sigma2)))
+    (u1, u2), (s1, s2) = dev.tolist(), sig.tolist()
+    return u1 - u2, s1, s2, (s1 - s2) ** 2 + 2.0 * (1.0 - rho) * s1 * s2, e
+
+
 def gamma2_bound(
     mu1: float, mu2: float, sigma1: float, sigma2: float, rho: float
 ) -> float:
     """Sharp bound on E|X1 - X2| when the correlation rho is also known.
 
-    sqrt((mu1 - mu2)**2 + (sigma1 + sigma2)**2 - 2 (1 + rho) sigma1 sigma2);
-    at rho = -1 this coincides with the two-coordinate range bound.
+    sqrt((mu1 - mu2)**2 + Var(X1 - X2)), formed in the pair's unit frame
+    (:func:`_pair`), so it holds to a few ulps at every scale and as rho
+    nears 1; at rho = -1 it coincides with the two-coordinate range bound.
     """
-    if sigma1 <= 0.0 or sigma2 <= 0.0:
-        raise ValidationError("sigmas must be positive")
-    if abs(rho) > 1.0:
-        raise ValidationError(f"correlation must lie in [-1, 1], got {rho}")
-    dmu = mu1 - mu2
-    val = dmu * dmu + (sigma1 + sigma2) ** 2 - 2.0 * (1.0 + rho) * sigma1 * sigma2
-    return math.sqrt(max(val, 0.0))
+    d, _, _, delta, e = _pair(mu1, mu2, sigma1, sigma2, rho)
+    return math.ldexp(math.hypot(d, math.sqrt(delta)), e)
 
 
 def pair_cov_bounds(
@@ -343,15 +371,19 @@ def pair_cov_bounds(
         rho sigma1 sigma2 <= Cov[min, max]
                           <= (sigma1**2 + sigma2**2 + 2 rho sigma1 sigma2)/4,
 
-    where gamma2 is :func:`gamma2_bound` of the same arguments.  Both upper
-    bounds are attained simultaneously by the pair with |X1 - X2| constant.
+    where gamma2 is :func:`gamma2_bound` of the same arguments.  The
+    covariance bounds are formed in the pair's unit frame (:func:`_pair`),
+    the upper one as Var(X1 - X2) at -rho over 4.  Both upper bounds are
+    attained simultaneously by the pair with |X1 - X2| constant.
     """
     g2 = gamma2_bound(mu1, mu2, sigma1, sigma2, rho)
-    max_low = max(mu1, mu2)
-    max_high = 0.5 * (mu1 + mu2) + 0.5 * g2
-    cov_low = rho * sigma1 * sigma2
-    cov_high = 0.25 * (sigma1 * sigma1 + sigma2 * sigma2 + 2.0 * rho * sigma1 * sigma2)
-    return max_low, max_high, cov_low, cov_high
+    _, s1, s2, delta, e = _pair(mu1, mu2, sigma1, sigma2, -rho)
+    return (
+        max(mu1, mu2),
+        0.5 * (mu1 + mu2) + 0.5 * g2,
+        math.ldexp(rho * s1 * s2, 2 * e),
+        math.ldexp(0.25 * delta, 2 * e),
+    )
 
 
 def _infimum(spec: MomentSpec) -> float:
@@ -374,7 +406,7 @@ def _report(
         rho=rho,
         optimum=DualPoint(c=c, lam=lam),
         regions=table.partition(),
-        ag=_ag_bound(frame),
+        ag=_ag_bound(_dispersion(frame)[1], frame[2]),
         infimum=_infimum(spec),
         method=method,
         iterations=iterations,

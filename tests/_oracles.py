@@ -525,11 +525,12 @@ def ag_general_bound_by_loop(spec: MomentSpec, coeffs) -> float:
 
 def ag_tightness_by_loop(spec: MomentSpec) -> tuple[bool, bool | None, AttainingJoint | None]:
     """``ag_tightness`` with its conditions checked coordinate by coordinate,
-    its tail masses from :func:`mass_table_by_choose`, and its uniqueness
-    verdict from the certificate on its own coupling alone."""
+    its tail masses from :func:`mass_table_by_choose` at the frame's mean
+    deviation, and its uniqueness verdict from the certificate on its own
+    coupling alone."""
     mb = spec.mu_bar
     d, s, e = _scaled_deviations_by_loop(spec)
-    theta2 = [di * di + si * si for di, si in zip(d, s)]
+    theta2 = [di**2 + si * si for di, si in zip(d, s)]
     s_total = math.fsum(theta2)
     ag_unit = math.sqrt(2.0 * s_total)
     slack = 1e-12 * s_total
@@ -538,7 +539,7 @@ def ag_tightness_by_loop(spec: MomentSpec) -> tuple[bool, bool | None, Attaining
     if not (cond_i and cond_ii):
         return False, None, None
     ag = math.ldexp(ag_unit, e)
-    table = mass_table_by_choose(spec.mu, spec.sigma, mb, 0.25 * ag)
+    table = mass_table_by_choose(d, s, math.fsum(d) / len(d), 0.25 * ag_unit)
     p_plus = table.p[2].tolist()
     p_minus = table.p[0].tolist()
     coupling = zero_trace_coupling(p_plus, p_minus)

@@ -291,6 +291,17 @@ class TestErrorHandling:
         assert out == ""
         assert message in err
 
+    def test_non_finite_embedded_joint_exits_one(self, capsys):
+        """json reads the NaN literal, so the embedded law is checked as
+        outside input: an error, not a report that it failed."""
+        _, document, _ = run_cli(capsys, "extremal", "--input", TRIPLE)
+        data = json.loads(document)
+        data["joint"]["support"][0][0] = math.nan
+        code, out, err = run_cli(capsys, "verify", "--input", json.dumps(data))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
     @pytest.mark.parametrize(
         "source, message",
         [

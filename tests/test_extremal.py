@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import random_spec
+from _oracles import random_spec, star_spec
 from rangebounds import (
     JointDiscreteDistribution,
     MomentSpec,
@@ -41,6 +41,16 @@ from rangebounds.objective import mass_table
             lambda: JointDiscreteDistribution(support=((0.0,), (1.0,)), prob=(1.5, -0.5)),
             "nonnegative",
         ),
+        (
+            lambda: JointDiscreteDistribution(support=((0.0,), (math.nan,)), prob=(0.5, 0.5)),
+            "finite",
+        ),
+        (
+            lambda: JointDiscreteDistribution(support=((0.0,), (1.0,)), prob=(math.inf, 0.5)),
+            "finite",
+        ),
+        (lambda: ProbabilityMatrix(q=[[0.0, 1.0], [math.nan, 0.0]]), "finite"),
+        (lambda: ProbabilityMatrix(q=[[0.0, math.inf], [0.0, 0.0]]), "finite"),
     ],
     ids=[
         "1x1-matrix",
@@ -49,6 +59,10 @@ from rangebounds.objective import mass_table
         "perturb-non-matrix",
         "zero-samples",
         "negative-mass",
+        "nan-point",
+        "infinite-mass",
+        "nan-cell",
+        "infinite-cell",
     ],
 )
 def test_rejects_invalid_input(call, message):
@@ -191,6 +205,22 @@ class TestAgTightness:
         spec = MomentSpec(mu=(0.0, 0.0, 0.0), sigma=(1.0, 1.0, 3.0))
         assert ag_tightness(spec) == (False, None, None)
 
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_star_witness_far_from_the_origin(self, offset):
+        """Star specs moved by 1e6 and 1e8 sigma: the tail masses are formed
+        at the frame's own mean deviation, so they sum to 1 to rounding and
+        the forced coupling is built.  Formed at 0, they differed by the
+        deviations' own rounding: at 1e6, 66 of these summed to 1 +/- up
+        to 7.7e-13 and failed the coupling's check."""
+        for seed in range(300):
+            spec = star_spec(seed, 3 + seed % 18, 1.0, offset)
+            tight, unique, joint = ag_tightness(spec)
+            assert (tight, unique) == (True, True)
+            half = 0.5 * ag_bound(spec)
+            assert np.all(joint.x_plus == spec.mu_bar + half)
+            assert np.all(joint.x_minus == spec.mu_bar - half)
+            assert np.all(joint.x_zero == spec.mu_bar)
+
     def test_matches_solver_verdict(self):
         """Tightness decided from the closed-form conditions must agree with
         a direct comparison of the two bounds."""
@@ -244,11 +274,32 @@ class TestBntExtremalMax:
         assert root == pytest.approx(2.5e-19, rel=1e-9)
         assert abs(y0 - root) <= 1e-17
         joint = bnt_extremal_max(spec)
-        assert len(joint.prob) == 2
-        # The skipped outcome's exact mass, 2.5e-19 at 1e9, carries 2.5e-10
-        # of the bound.
+        # The far outcome's mass, 2.5e-19 at 1e9, carries 2.5e-10 of the
+        # bound; formed as (alpha - d) / (2 alpha) it would cancel to 0.
+        assert len(joint.prob) == 3
         emax = math.fsum(p * max(vec) for vec, p in zip(joint.support, joint.prob))
-        assert emax == pytest.approx(value, rel=1e-9)
+        assert emax == value
+
+    def test_law_holds_at_every_spread_of_the_means(self):
+        """Means integer multiples of a spread of up to 1e10 sigma: the root
+        is resolved to the sigmas, on the means less the largest, so every
+        law's masses sum to 1, and its E max meets the bound to the rounding
+        of the law's own points.  With the root solved on the means as
+        given and masses formed as (1 - d/alpha)/2, 95 of these raised."""
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(1000):
+            n = int(rng.integers(2, 9))
+            spread = 10.0 ** rng.uniform(0.0, 10.0)
+            mu = rng.integers(-3, 4, n) * spread
+            sigma = rng.uniform(0.5, 2.0, n)
+            spec = MomentSpec(mu=tuple(mu.tolist()), sigma=tuple(sigma.tolist()))
+            value, _ = bnt_max_bound(spec)
+            joint = bnt_extremal_max(spec)
+            emax = math.fsum(p * max(vec) for vec, p in zip(joint.support, joint.prob))
+            ulp = math.ulp(max(abs(value), *map(abs, spec.mu)))
+            worst = max(worst, abs(emax - value) / ulp)
+        assert worst <= 4.0
 
     def test_homogeneous_four_variables(self):
         spec = MomentSpec(mu=(0.0,) * 4, sigma=(1.0,) * 4)
@@ -295,20 +346,42 @@ class TestPairSampler:
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_near_degenerate_pair_with_equal_means_is_a_law(self, k):
-        """Equal means, equal sigmas and rho = 1 - 10**-k: the two sign
+        """rho = 1 - 10**-k with equal means and sigmas: the two sign
         probabilities sum to 1 although 1 + rho rounds in the gap bound, and
-        the gap stays positive where rho rounds to the float below 1."""
+        the gap stays positive where rho rounds to the float below 1.  With
+        sigmas 1e-9 or 1e-7 apart, Var(X1 - X2) and the atoms' coefficients
+        hold to relative precision: formed as sigma1**2 + sigma2**2 - 2 rho
+        sigma1 sigma2 they cancelled, and the variances were off by up to
+        half."""
         rho = 1.0 - 10.0**-k
-        joint = extremal_pair_given_correlation(3.0, 3.0, 1.0, 1.0, rho).as_joint()
-        assert math.fsum(joint.prob) == pytest.approx(1.0, abs=4e-16)
-        for i in (0, 1):
-            mean, var = joint_mean_and_var(joint, i)
-            assert mean == pytest.approx(3.0, abs=1e-9)
-            assert var == pytest.approx(1.0, abs=1e-9)
-        cross = math.fsum(
-            p * (vec[0] - 3.0) * (vec[1] - 3.0) for vec, p in zip(joint.support, joint.prob)
-        )
-        assert cross == pytest.approx(rho, abs=1e-9)
+        for mu, sigma in (((3.0, 3.0), (1.0, 1.0)), ((0.0, 0.5), (1.0, 1.0 + 1e-9)),
+                          ((0.0, 0.5), (1.0, 1.0 + 1e-7))):
+            joint = extremal_pair_given_correlation(*mu, *sigma, rho).as_joint()
+            assert math.fsum(joint.prob) == pytest.approx(1.0, abs=4e-16)
+            for i in (0, 1):
+                mean, var = joint_mean_and_var(joint, i)
+                assert mean == pytest.approx(mu[i], abs=1e-9)
+                assert var == pytest.approx(sigma[i] ** 2, abs=1e-9)
+            cross = math.fsum(
+                p * (vec[0] - mu[0]) * (vec[1] - mu[1]) for vec, p in zip(joint.support, joint.prob)
+            )
+            assert cross == pytest.approx(rho * sigma[0] * sigma[1], abs=1e-9)
+
+    @pytest.mark.parametrize("a", [2.0**400, 2.0**-400, 2.0**-520, 2.0**510])
+    def test_law_is_equivariant_under_powers_of_two(self, a):
+        """The law is formed in the pair's unit frame, so scaling the spec by
+        a power of two scales its atoms and gap exactly; in the spec's units
+        the variances overflow at 2**510 or underflow at 2**-520."""
+        rng = np.random.default_rng(38)
+        for _ in range(50):
+            m1, m2 = (float(v) for v in rng.uniform(-3, 3, 2))
+            s1, s2 = (float(v) for v in rng.uniform(0.2, 2.5, 2))
+            rho = float(rng.uniform(-1, 1))
+            unit = extremal_pair_given_correlation(m1, m2, s1, s2, rho)
+            scaled = extremal_pair_given_correlation(a * m1, a * m2, a * s1, a * s2, rho)
+            assert scaled.atoms.tobytes() == (a * unit.atoms).tobytes()
+            assert scaled.probs == unit.probs
+            assert scaled.gamma2 == a * unit.gamma2
 
     def test_coordinate_gap_is_constant(self):
         sampler = extremal_pair_given_correlation(0.5, -0.5, 1.0, 2.0, 0.3)

@@ -90,6 +90,9 @@ class TestPlackettBound:
             plackett_iid_bound(1, 1.0)
         with pytest.raises(ValidationError):
             plackett_iid_bound(3, 0.0)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                plackett_iid_bound(3, sigma)
 
     def test_below_dependence_free_bound_for_homogeneous_specs(self):
         # Independence is one admissible dependence, so the i.i.d. bound
@@ -185,6 +188,41 @@ class TestPairBounds:
             assert gamma2_bound(m1, m2, s1, s2, -1.0) == pytest.approx(
                 expected, rel=1e-12
             )
+
+    def test_gamma2_to_four_ulps(self):
+        """Against 50 digits, on pairs near the degenerate law (rho -> 1
+        with equal or nearly equal sigmas, where sigma1**2 + sigma2**2 - 2
+        rho sigma1 sigma2 cancels) and on ordinary ones."""
+        pairs = [
+            (m1, m2, 1.0, s2, 1.0 - 10.0**-k)
+            for (m1, m2, s2) in ((3.0, 3.0, 1.0), (0.0, 0.5, 1.0 + 1e-9), (0.0, 0.5, 1.0 + 1e-7))
+            for k in range(1, 17)
+        ]
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            m1, m2 = rng.uniform(-3, 3, 2)
+            s1, s2 = rng.uniform(0.2, 2.5, 2)
+            pairs.append((float(m1), float(m2), float(s1), float(s2), float(rng.uniform(-1, 1))))
+        with decimal.localcontext() as context:
+            context.prec = 50
+            for args in pairs:
+                m1, m2, s1, s2, rho = map(decimal.Decimal, args)
+                exact = ((m1 - m2) ** 2 + s1 * s1 + s2 * s2 - 2 * rho * s1 * s2).sqrt()
+                got = gamma2_bound(*args)
+                assert abs(decimal.Decimal(got) - exact) <= 4 * decimal.Decimal(math.ulp(got))
+
+    @pytest.mark.parametrize("a", [2.0**400, 2.0**-400, 2.0**-520, 2.0**510])
+    def test_pair_bounds_are_equivariant_under_powers_of_two(self, a):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            m1, m2 = (float(v) for v in rng.uniform(-3, 3, 2))
+            s1, s2 = (float(v) for v in rng.uniform(0.2, 2.5, 2))
+            rho = float(rng.uniform(-1, 1))
+            scaled = (a * m1, a * m2, a * s1, a * s2, rho)
+            assert gamma2_bound(*scaled) == a * gamma2_bound(m1, m2, s1, s2, rho)
+            got = pair_cov_bounds(*scaled)
+            want = pair_cov_bounds(m1, m2, s1, s2, rho)
+            assert got == (a * want[0], a * want[1], a * a * want[2], a * a * want[3])
 
     def test_gamma2_rejects_bad_correlation(self):
         with pytest.raises(ValidationError):
