@@ -9,7 +9,9 @@ probability matrix Q with row marginals p^+, column marginals p^-, and zero
 diagonal: the outcome at cell (i, j) puts coordinate i at its upper point,
 coordinate j at its lower point, and every other coordinate at its middle
 point.  Such a matrix exists if and only if max_i (p_i^+ + p_i^-) <= 1,
-which always holds at the optimum.
+which always holds at the optimum, and `zero_trace_coupling` builds one by
+cutting a circle: the north-west-corner rule laid out with the columns
+shifted just far enough that no row meets its own column.
 
 The module also builds the laws that attain the comparison bounds: the
 witness of the closed-form dispersion bound when it is tight
@@ -24,7 +26,7 @@ from the gap bound), so every formula is written once, there.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import math
 from collections import deque
@@ -62,10 +64,6 @@ __all__ = [
     "extremal_pair_given_correlation",
     "PairSampler",
 ]
-
-_EPS = float(np.finfo(float).eps)
-_MASS_EPS = 1e-14
-
 
 class ProbabilityMatrix:
     """An n x n nonnegative matrix with total mass 1, stored as its positive cells.
@@ -229,37 +227,6 @@ def _validate_marginal_vector(v: Sequence[float], name: str) -> list[float]:
     return vals
 
 
-def _heap(values: list[float]) -> list[tuple[float, int]]:
-    heap = [(-v, l) for l, v in enumerate(values)]
-    heapq.heapify(heap)
-    return heap
-
-
-def _largest(
-    heap: list[tuple[float, int]], values: list[float], skip: tuple[int, ...] = ()
-) -> int | None:
-    """The index of the largest value outside ``skip``, ties to the lowest
-    index, or None when every index is skipped.
-
-    ``heap`` holds (-value, index) entries and is updated lazily: an entry
-    whose value is no longer ``values[index]`` is stale and dropped here.
-    """
-    held = []
-    found = None
-    while heap:
-        value, index = heap[0]
-        if value != -values[index]:
-            heapq.heappop(heap)
-        elif index in skip:
-            held.append(heapq.heappop(heap))
-        else:
-            found = index
-            break
-    for entry in held:
-        heapq.heappush(heap, entry)
-    return found
-
-
 #: Every finite float is an integer count of 2**-1074, the smallest subnormal.
 _UNIT = 1 << 1074
 
@@ -270,102 +237,64 @@ def _units(x: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-class _SummedList(list):
-    """A list of floats that keeps its exact sum as a count of 2**-1074.
-
-    Every assignment adds new - old to the count, so ``fsum()`` is the
-    correctly rounded sum, bit for bit ``math.fsum(self)``, for one integer
-    division instead of a pass over the list (exact running summation, as
-    in Shewchuk 1997, with integers for the expansion).
-    """
-
-    def __init__(self, values: Sequence[float]) -> None:
-        super().__init__(values)
-        self.units = sum(map(_units, self))
-
-    def __setitem__(self, index: int, value: float) -> None:
-        self.units += _units(value) - _units(self[index])
-        super().__setitem__(index, value)
-
-    def fsum(self) -> float:
-        # Integer true division rounds correctly, as math.fsum does.
-        return self.units / _UNIT
-
-
-def _coupling_by_greedy(
+def _coupling_on_a_circle(
     p: list[float], q: list[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Largest-remaining-sum greedy with a capped transfer, stall-free.
+    """The north-west-corner rule on a circle, on exact breakpoints.
 
-    Serving the index with the largest p_l + q_l first and capping every
-    transfer so that max_l (p_l + q_l) never exceeds the remaining total mass
-    keeps the feasibility condition invariant; when some index reaches
-    equality the remaining matrix is forced entirely into its row and column,
-    which also reproduces the unique solution of the equality case.  Each
-    pass zeroes a marginal entry or triggers the forced branch, so the loop
-    ends within about 2n steps with at most 2n - 1 cells, returned as rows,
-    columns and values in row-major order.  (Only when the totals of p and
-    q differ can p-mass be left that no column takes; the passes then move
-    nothing until the step cap, and a cell that received nothing is none.)
-    A pass changes two entries, so heaps find the largest p_l + q_l, p_i
-    and q_j in O(log n) each (ties go to the lowest index), and the
-    remaining mass m = math.fsum(p) is kept exactly under the changes, so
-    the whole greedy is O(n log n).
+    With A and B the running sums of p and q, total L, and s = max_i
+    (A_{i+1} - B_i), lay row i on [A_i, A_{i+1}) and column j on [B_j + s,
+    B_{j+1} + s) mod L; the cells are the overlaps (Peyre & Cuturi,
+    "Computational Optimal Transport", 2019, 3.4.2).  The offset s + B_i -
+    A_i of column i from row i is at least p_i by the choice of s and at
+    most L - q_i because every p_j + q_j <= L, so no cell lies on the
+    diagonal, and a zero-length row or column meets nothing.  That gives
+    at most |supp p| + |supp q| cells, returned as rows, columns and values
+    in row-major order, in one O(n) pass plus the sort.
 
-    Mass within ``tol`` of zero, or of m, counts as exactly there.  ``tol``
-    is 1e-14, about 45 ulps of the total mass 1, or n ulps of m when that
-    is larger: m sums n rounded masses that the solver balances only to its
-    residual, so the tail masses of a star with n = 200 sum to 1 + 1.3e-14.
-    Once m is within ``tol`` of 0 every index counts as forced.  A forced
-    row or column with no mass left receives none: what the other side
-    still holds is then rounding residue, since in exact arithmetic the
-    forced row k carries the rest of every column and the forced column k
-    the rest of every row.  Given to a coordinate whose tail mass is 0, it
-    would put mass on that coordinate's fill point.
+    The masses are exact integer counts of 2**-1074, so no mass is lost
+    beside a larger one and each cell is rounded once.  An index k with the
+    largest p_k + q_k (the lowest on ties) within n eps of the larger total
+    m, the rounding of a sum of n masses, is forced: its row takes the rest
+    of every column and its column the rest of every row, each only where
+    that side of k holds mass; where both do, the circle yields the exact
+    star.  Unequal totals go to a slack index, whose row and column are
+    dropped: it holds L - sum p and L - sum q, with L the larger total (or
+    the largest p_i + q_i, should that exceed it).
     """
     n = len(p)
-    cells: dict[tuple[int, int], float] = {}
-    pt = _SummedList(p)
-    qt = list(q)
-    sums = [a + b for a, b in zip(pt, qt)]
-    by_p, by_q, by_sum = _heap(pt), _heap(qt), _heap(sums)
-    for _ in range(4 * n + 8):
-        m = pt.fsum()
-        tol = max(_MASS_EPS, n * _EPS * m)
-        k = _largest(by_sum, sums)
-        if sums[k] >= m - tol:
-            if qt[k] > 0.0:
-                for i in range(n):
-                    if i != k and pt[i] > 0.0:
-                        cells[i, k] = cells.get((i, k), 0.0) + pt[i]
-            if pt[k] > 0.0:
-                for j in range(n):
-                    if j != k and qt[j] > 0.0:
-                        cells[k, j] = cells.get((k, j), 0.0) + qt[j]
-            break
-        if pt[k] >= qt[k]:
-            row, col = k, _largest(by_q, qt, (k,))
-        else:
-            row, col = _largest(by_p, pt, (k,)), k
-        other = _largest(by_sum, sums, (row, col))
-        cap = m - (0.0 if other is None else sums[other])
-        delta = min(pt[row], qt[col], cap)
-        cells[row, col] = cells.get((row, col), 0.0) + delta
-        left = pt[row] - delta
-        qt[col] -= delta
-        # A cap an ulp short of an entry leaves float residue there, which
-        # the forced branch would otherwise turn into a cell of its own.
-        pt[row] = 0.0 if left <= tol else left
-        if qt[col] <= tol:
-            qt[col] = 0.0
-        heapq.heappush(by_p, (-pt[row], row))
-        heapq.heappush(by_q, (-qt[col], col))
-        for l in (row, col):
-            sums[l] = pt[l] + qt[l]
-            heapq.heappush(by_sum, (-sums[l], l))
-    keys = sorted(key for key, value in cells.items() if value > 0.0)
-    rows, cols = np.array(keys, dtype=np.intp).reshape(-1, 2).T
-    return rows, cols, np.array([cells[key] for key in keys])
+    P, Q = list(map(_units, p)), list(map(_units, q))
+    sp, sq = sum(P), sum(Q)
+    k = max(range(n), key=lambda i: P[i] + Q[i])
+    m = max(sp, sq)
+    if (m - P[k] - Q[k]) << 52 <= n * m:
+        P[k], Q[k] = (sq - Q[k] if P[k] else 0), (sp - P[k] if Q[k] else 0)
+        sp, sq = sum(P), sum(Q)
+    total = max(sp, sq, max(map(int.__add__, P, Q)))
+    P.append(total - sp)
+    Q.append(total - sq)
+    # Row t % (n + 1) lies on [rows[t], rows[t + 1]): the circle unrolled twice.
+    rows = list(itertools.accumulate(P, initial=0))
+    rows += [a + total for a in rows[1:]]
+    B = list(itertools.accumulate(Q, initial=0))
+    s = max(map(int.__sub__, rows[1 : n + 2], B))
+    cols = [b + s for b in B]
+    cells = []
+    x, t, j = s, bisect.bisect_right(rows, s) - 1, 0
+    while x < cols[-1]:
+        end = min(rows[t + 1], cols[j + 1])
+        i = t % (n + 1)
+        if end > x and i < n and j < n:
+            cells.append((i, j, end - x))
+        x = end
+        t += rows[t + 1] == end
+        j += cols[j + 1] == end
+    cell_rows, cell_cols, units = zip(*sorted(cells))
+    return (
+        np.array(cell_rows, dtype=np.intp),
+        np.array(cell_cols, dtype=np.intp),
+        np.array([u / _UNIT for u in units]),
+    )
 
 
 def _marginals_match(
@@ -388,8 +317,10 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
 
     Exists if and only if max_i (p_i + q_i) <= 1.  At equality for index k
     the solution is unique: column k carries p_i (i != k) and row k carries
-    q_j (j != k).  The greedy construction covers both cases; its marginals
-    are checked to 1e-12 and a miss raises ``InfeasibleCouplingError``.
+    q_j (j != k).  One cut of a circle covers both cases, in O(n) exact
+    integer steps with at most |supp p| + |supp q| cells, and gives the
+    star at equality bit for bit; its marginals are checked to 1e-12 and a
+    miss raises ``InfeasibleCouplingError``.
     """
     pv = _validate_marginal_vector(p, "p")
     qv = _validate_marginal_vector(q, "q")
@@ -404,9 +335,9 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
             "no zero-diagonal coupling exists: requires max_i (p_i + q_i) <= 1 "
             f"but index {k} has p+q = {worst!r}"
         )
-    cells = _coupling_by_greedy(pv, qv)
+    cells = _coupling_on_a_circle(pv, qv)
     if not _marginals_match(cells, pv, qv):
-        raise InfeasibleCouplingError("the greedy coupling failed the marginal check")
+        raise InfeasibleCouplingError("the coupling failed the marginal check")
     return ProbabilityMatrix._from_cells(len(pv), *cells)
 
 
@@ -706,9 +637,9 @@ def ag_tightness(
     masses each sum to 1 to rounding, while at 0 they would differ by the
     deviations' own rounding, of order ulp(mu_bar) over sigma.  ``unique``
     says whether the witness's coupling is the only zero-diagonal one with
-    its tail masses: True when some (ii) holds with equality (the coupling
-    is then forced), and otherwise the verdict of
-    :func:`perturb_coupling`.  It is None only when the bound is not tight.
+    its tail masses, as :func:`perturb_coupling` certifies; where some (ii)
+    holds with equality the coupling is the forced star, which it certifies
+    unique.  It is None only when the bound is not tight.
     """
     frame = d, s, e = scaled_deviations(spec)
     theta2, total = _dispersion(frame)
@@ -719,9 +650,8 @@ def ag_tightness(
     if not (cond_i and cond_ii):
         return False, None, None
     table = mass_table(d, s, math.fsum(d.tolist()) / spec.n, 0.25 * ag_unit)
-    tails = table.p[2] + table.p[0]
     coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
-    unique = float(tails.max()) >= 1.0 - 1e-12 or perturb_coupling(coupling) is None
+    unique = perturb_coupling(coupling) is None
     mb, half = spec.mu_bar, 0.5 * _ag_bound(total, e)
     n = spec.n
     joint = AttainingJoint(

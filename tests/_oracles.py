@@ -6,8 +6,7 @@ rather than tautology; the nested roots share only the solver's inner
 root and unit frame, and replace its search in c by plain bisection.  The
 attaining law's plain forms live here too: the law as explicit n-tuples,
 the moment check and expected range as loops over them, its exact moments
-in rational arithmetic, the greedy coupling with linear scans and a full
-``math.fsum`` at every step, and the ``extremal``/``verify`` output as
+in rational arithmetic, and the ``extremal``/``verify`` output as
 ``json.dumps`` of the full payload.  So do the earlier forms of two hot
 paths, kept for bit-for-bit comparison: the mass-table kernel that
 selected its branches with ``np.choose`` and formed every column at once,
@@ -208,55 +207,6 @@ def perturb_coupling_by_search(q: np.ndarray) -> np.ndarray | None:
         ):
             return out
     return None
-
-
-def coupling_by_scan(p: list[float], q: list[float]) -> np.ndarray:
-    """The largest-remaining-sum greedy coupling with linear scans.
-
-    The same float steps as ``extremal._coupling_by_greedy``, with every
-    maximum found by ``max`` over all indices (ties to the lowest index)
-    instead of by a heap, and the remaining mass by ``math.fsum`` of all n
-    entries instead of a running sum: O(n) per step.
-    """
-    n = len(p)
-    out = np.zeros((n, n), dtype=float)
-    pt = list(p)
-    qt = list(q)
-    for _ in range(4 * n + 8):
-        m = math.fsum(pt)
-        tol = max(1e-14, n * float(np.finfo(float).eps) * m)
-        sums = [pt[l] + qt[l] for l in range(n)]
-        k = max(range(n), key=sums.__getitem__)
-        if sums[k] >= m - tol:
-            if qt[k] > 0.0:
-                for i in range(n):
-                    if i != k and pt[i] > 0.0:
-                        out[i, k] += pt[i]
-                        pt[i] = 0.0
-            if pt[k] > 0.0:
-                for j in range(n):
-                    if j != k and qt[j] > 0.0:
-                        out[k, j] += qt[j]
-                        qt[j] = 0.0
-            pt[k] = qt[k] = 0.0
-            break
-        if pt[k] >= qt[k]:
-            row = k
-            col = max((j for j in range(n) if j != k), key=qt.__getitem__)
-        else:
-            col = k
-            row = max((i for i in range(n) if i != k), key=pt.__getitem__)
-        others = [sums[l] for l in range(n) if l != row and l != col]
-        cap = m - max(others, default=0.0)
-        delta = min(pt[row], qt[col], cap)
-        out[row, col] += delta
-        pt[row] -= delta
-        qt[col] -= delta
-        if pt[row] <= tol:
-            pt[row] = 0.0
-        if qt[col] <= tol:
-            qt[col] = 0.0
-    return out
 
 
 def joint_by_tuples(

@@ -1,14 +1,15 @@
-"""The structured attaining law, the heap greedy coupling and the vectorized
-checks, each against its n-tuple or linear-scan oracle."""
+"""The structured attaining law and the vectorized checks against their
+n-tuple oracles, and the circular coupling against the properties that
+define it."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from _oracles import (
     check_moments_by_fractions,
     check_moments_by_loop,
-    coupling_by_scan,
     expected_range_by_loop,
     extremal_tuples,
     random_spec,
@@ -30,7 +31,7 @@ from rangebounds import (
     perturb_coupling,
     zero_trace_coupling,
 )
-from rangebounds.extremal import _coupling_by_greedy, _marginals_match, _SummedList
+from rangebounds.extremal import _UNIT, _marginals_match, _units
 from rangebounds.verify import _probe_joints
 
 
@@ -163,13 +164,6 @@ def marginals(rng: np.random.Generator, n: int, kind: str) -> tuple[list[float],
 SIZES = (2, 3, 4, 5, 6, 8, 13, 21, 50, 137, 300, 500)
 
 
-def assert_same_cells(cells, dense: np.ndarray) -> None:
-    """``cells`` are the positive entries of ``dense``, row-major, bit for bit."""
-    rows, cols = np.nonzero(dense > 0.0)
-    assert np.array_equal(cells[0], rows) and np.array_equal(cells[1], cols)
-    assert cells[2].tobytes() == dense[rows, cols].tobytes()
-
-
 class TestGreedyCoupling:
     @pytest.mark.parametrize("kind", ["random", "tight", "near"])
     def test_random_feasible_marginals_pass_the_check(self, kind):
@@ -202,28 +196,6 @@ class TestGreedyCoupling:
         assert not _marginals_match(cells, [0.3, 0.7], [0.3, 0.7])
         assert not _marginals_match(cells, [0.7, 0.3], [0.7, 0.3])
 
-    def test_heaps_take_the_steps_of_the_linear_scans(self):
-        rng = np.random.default_rng(4)
-        for n in SIZES[1:10]:
-            for kind in ("random", "tight", "near"):
-                for _ in range(6):
-                    p, q = marginals(rng, n, kind)
-                    assert_same_cells(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
-
-    def test_ties_go_to_the_lowest_index(self):
-        rng = np.random.default_rng(6)
-        for n in (3, 5, 8, 16):
-            for _ in range(40):
-                p = rng.integers(0, 4, size=n).astype(float)
-                q = rng.integers(0, 4, size=n).astype(float)
-                if p.sum() == 0.0 or q.sum() == 0.0:
-                    continue
-                p, q = (p / p.sum()).tolist(), (q / q.sum()).tolist()
-                if max(a + b for a, b in zip(p, q)) > 1.0:
-                    continue
-                assert_same_cells(_coupling_by_greedy(p, q), coupling_by_scan(p, q))
-
-
 STARS = [
     (seed, n, a, b)
     for seed in range(6)
@@ -246,9 +218,10 @@ def test_star_coupling_is_forced(seed, n, a, b):
 
 
 def test_no_cell_in_a_row_or_column_without_tail_mass():
-    """At n = 10**4 the greedy's slack n eps m, 2.2e-12, exceeds the
-    rounding of the tail masses; the residue must not land in a row whose
-    p+ is 0 or a column whose p- is 0, where it puts mass on a fill point."""
+    """At n = 10**4 the tail totals differ by their rounding; no cell may
+    land in a row whose p+ is 0 or a column whose p- is 0, where it would
+    put mass on a fill point.  Such a row or column is a zero-length
+    interval of the circle, which meets nothing."""
     rng = np.random.default_rng(7)
     n = 10_000
     mu = rng.uniform(-3.0, 3.0, n)
@@ -271,65 +244,89 @@ def tied_marginals(rng: np.random.Generator, n: int) -> tuple[list[float], list[
                 return p, q
 
 
-class TestSparseGreedy:
-    """The greedy's cells against the dense linear-scan oracle, bit for bit."""
+def assert_sparse_coupling(cells, p: list[float], q: list[float]) -> None:
+    """``cells`` couple p and q: each positive, off the diagonal and once in
+    row-major order, at most |supp p| + |supp q| of them, none in a row
+    with p = 0 or a column with q = 0, and both marginals to 1e-12."""
+    rows, cols, values = cells
+    assert not np.any(rows == cols) and values.min() > 0.0
+    assert np.all(np.diff(rows * len(p) + cols) > 0)
+    assert values.size <= np.count_nonzero(p) + np.count_nonzero(q)
+    assert np.all(np.take(p, rows) > 0.0) and np.all(np.take(q, cols) > 0.0)
+    assert _marginals_match(cells, p, q)
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 64, 300, 1000, 3000])
-    def test_cells_match_the_scan_oracle(self, n):
+
+def assert_exact_star(cells, p: list[float], q: list[float]) -> None:
+    """``cells`` are the star forced at the index k with the largest exact
+    p_k + q_k: column k holds every other p_i and row k every other q_j,
+    bit for bit."""
+    k = max(range(len(p)), key=lambda i: Fraction(p[i]) + Fraction(q[i]))
+    star = sorted(
+        [(i, k, p[i]) for i in range(len(p)) if i != k and p[i] > 0.0]
+        + [(k, j, q[j]) for j in range(len(q)) if j != k and q[j] > 0.0]
+    )
+    rows, cols, values = zip(*star)
+    assert cells[0].tolist() == list(rows) and cells[1].tolist() == list(cols)
+    assert cells[2].tobytes() == np.array(values).tobytes()
+
+
+class TestCircleCoupling:
+    """The circular coupling against the properties that define it."""
+
+    @pytest.mark.parametrize("n", sorted({*SIZES, 10, 64, 1000, 3000}))
+    def test_cells_form_a_sparse_zero_diagonal_coupling(self, n):
         rng = np.random.default_rng(n)
-        kinds = ("random",) if n == 3000 else ("random", "tight", "near", "ties")
-        for kind in kinds:
-            if (n, kind) == (2, "near"):
-                continue
-            p, q = tied_marginals(rng, n) if kind == "ties" else marginals(rng, n, kind)
-            cells = _coupling_by_greedy(p, q)
-            assert len(cells[2]) <= 2 * n - 1
-            assert_same_cells(cells, coupling_by_scan(p, q))
-
-    def test_a_transfer_of_nothing_is_no_cell(self):
-        # With the totals 6e-13 apart, p-mass is left that no column can
-        # take: the greedy transfers 0.0 until its step cap, and the
-        # marginals still match to 1e-12.
-        p, q = [0.1 + 3e-13, 0.2 + 3e-13, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]
-        cells = _coupling_by_greedy(p, q)
-        assert cells[2].min() > 0.0
-        assert_same_cells(cells, coupling_by_scan(p, q))
-        assert np.array_equal(zero_trace_coupling(p, q).cells[2], cells[2])
-
-    def test_star_cells_match_the_scan_oracle(self):
-        for seed, n, a, b in STARS:
-            parts = extremal_components(star_spec(seed, n, a, b))
-            p, q = parts.table.p[2].tolist(), parts.table.p[0].tolist()
-            cells = _coupling_by_greedy(p, q)
-            assert len(cells[2]) == 2 * (n - 1)
-            assert_same_cells(cells, coupling_by_scan(p, q))
-
-    def test_running_sum_is_fsum_at_every_step(self, monkeypatch):
-        fsum = _SummedList.fsum
-        seen = []
-
-        def checked(self):
-            m = fsum(self)
-            assert m == math.fsum(self)
-            seen.append(m)
-            return m
-
-        monkeypatch.setattr(_SummedList, "fsum", checked)
-        rng = np.random.default_rng(12)
-        for n in (2, 5, 40, 300):
+        for _ in range(12 if n < 100 else 3 if n < 1000 else 1):
             for kind in ("random", "tight", "near", "ties"):
-                if (n, kind) != (2, "near"):
-                    p, q = tied_marginals(rng, n) if kind == "ties" else marginals(rng, n, kind)
-                    _coupling_by_greedy(p, q)
-        assert len(seen) > 500
+                if (n, kind) == (2, "near"):
+                    continue
+                p, q = tied_marginals(rng, n) if kind == "ties" else marginals(rng, n, kind)
+                cells = zero_trace_coupling(p, q).cells
+                assert_sparse_coupling(cells, p, q)
+                if kind == "tight":
+                    assert_exact_star(cells, p, q)
 
-    def test_summed_list_rounds_as_fsum_over_the_whole_float_range(self):
+    def test_totals_a_rounding_apart_give_positive_cells(self):
+        # With the totals 6e-13 apart, the slack index takes the difference
+        # and the marginals still match to 1e-12.
+        p, q = [0.1 + 3e-13, 0.2 + 3e-13, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]
+        for a, b in ((p, q), (q, p)):
+            cells = zero_trace_coupling(a, b).cells
+            assert cells[2].min() > 0.0
+            assert _marginals_match(cells, a, b)
+
+    def test_a_forced_index_takes_no_cell_on_its_empty_side(self):
+        # Index 0 is forced with nothing on one side; what the other indices
+        # hold on that side is rounding residue, which it must not take.
+        big, residue = [1.0 - 2.0**-52, 2.0**-53, 2.0**-53], [0.0, 0.5, 0.5]
+        for p, q in ((residue, big), (big, residue)):
+            assert_sparse_coupling(zero_trace_coupling(p, q).cells, p, q)
+
+    def test_a_mass_far_below_the_others_keeps_its_cells(self):
+        # Dyadic masses with totals exactly 1: every breakpoint and cell is
+        # exact, so each marginal is met bit for bit, 2**-49 included.
+        p = [0.25, 2.0**-49, 0.75 - 2.0**-49, 0.0]
+        q = [0.375, 0.375, 0.125, 0.125]
+        rows, cols, values = zero_trace_coupling(p, q).cells
+        assert np.bincount(rows, values, 4).tolist() == p
+        assert np.bincount(cols, values, 4).tolist() == q
+
+    def test_units_sum_rounds_as_fsum_over_the_float_range(self):
         rng = np.random.default_rng(13)
-        values = _SummedList([0.0] * 50)
-        for _ in range(20_000):
-            sign = float(rng.choice([-1.0, 1.0]))
-            values[int(rng.integers(50))] = sign * 10.0 ** float(rng.uniform(-325.0, 300.0))
-            assert values.fsum() == math.fsum(values)
+        for _ in range(2_000):
+            signs = rng.choice([-1.0, 1.0], 50)
+            values = (signs * 10.0 ** rng.uniform(-325.0, 300.0, 50)).tolist()
+            assert sum(map(_units, values)) / _UNIT == math.fsum(values)
+
+
+def test_spec_where_the_tail_totals_differ_by_ulps():
+    """At n = 10**4 the tail totals here differ by a few ulps; the law is
+    still built in one pass and passes the moment check."""
+    spec = random_spec(np.random.default_rng(17), 10_000)
+    parts = extremal_components(spec)
+    p_minus, _, p_plus = parts.table.p
+    assert_sparse_coupling(parts.coupling.cells, p_plus.tolist(), p_minus.tolist())
+    assert check_moments(parts.joint, spec).passed
 
 
 @pytest.mark.parametrize("exponent", range(-300, 301, 60))
