@@ -122,11 +122,6 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _spec_from_data(data: dict) -> MomentSpec:
-    subset = {key: data[key] for key in ("mu", "sigma") if key in data}
-    return MomentSpec.from_json_dict(subset)
-
-
 def _run_bound(config: CliConfig) -> int:
     spec = MomentSpec.from_json_dict(_read_input(config.input_source))
     report = rho_bound(spec, tol=config.tol)
@@ -239,12 +234,10 @@ def _joint_agrees(
 
 def _run_verify(config: CliConfig) -> int:
     data = _read_input(config.input_source)
+    spec = MomentSpec.from_json_dict(data)
     embedded = None
     if "joint" in data:
-        spec = _spec_from_data(data)
         embedded = JointDiscreteDistribution.from_json_dict(data["joint"])
-    else:
-        spec = MomentSpec.from_json_dict(data)
     moment_tol = max(config.tol, 1e-10)
     parts = extremal_components(spec, tol=config.tol)
     rho = parts.report.rho
@@ -311,21 +304,11 @@ def _atom_table_error(
     if len(joint.support) != len(expected):
         return math.inf
     worst = 0.0
-    used = [False] * len(expected)
+    unused = list(expected)
     for vec, mass in zip(joint.support, joint.prob):
-        best_idx = -1
-        best_dev = math.inf
-        for idx, (evec, _) in enumerate(expected):
-            if used[idx]:
-                continue
-            dev = max(abs(a - b) for a, b in zip(vec, evec))
-            if dev < best_dev:
-                best_dev = dev
-                best_idx = idx
-        if best_idx < 0:
-            return math.inf
-        used[best_idx] = True
-        worst = max(worst, best_dev, abs(mass - expected[best_idx][1]))
+        devs = [max(abs(a - b) for a, b in zip(vec, evec)) for evec, _ in unused]
+        k = devs.index(min(devs))
+        worst = max(worst, devs[k], abs(mass - unused.pop(k)[1]))
     return worst
 
 

@@ -32,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,9 +65,39 @@ __all__ = [
     "PairSampler",
 ]
 
-class ProbabilityMatrix:
-    """An n x n nonnegative matrix with total mass 1, stored as its positive cells.
+#: The one tolerance of the probability contract: how far the exactly
+#: rounded sum of a probability vector or matrix may stray from 1.
+_MASS_TOL = 1e-12
 
+
+def _probabilities(values: Iterable, name: str) -> tuple[list[float], float]:
+    """``values`` as floats and their ``math.fsum``, under the one contract.
+
+    Every probability vector or matrix the package accepts (the marginals
+    of :func:`zero_trace_coupling`, the cells of a ``ProbabilityMatrix``,
+    the masses of a ``JointDiscreteDistribution``) has finite entries, none
+    negative, whose ``math.fsum`` lies within ``_MASS_TOL`` of 1; anything
+    else raises ``ValidationError``.
+    """
+    try:
+        vals = list(map(float, values))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a vector of numbers") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValidationError(f"{name} must be finite")
+    if min(vals, default=0.0) < 0.0:
+        raise ValidationError(f"{name} must be nonnegative")
+    total = math.fsum(vals)
+    if abs(total - 1.0) > _MASS_TOL:
+        raise ValidationError(f"{name} sums to {total!r}, not 1")
+    return vals, total
+
+
+class ProbabilityMatrix:
+    """An n x n matrix under the probability contract, stored as its positive cells.
+
+    Its entries are finite and nonnegative, and their ``math.fsum`` lies
+    within 1e-12 of 1, as for every probability vector the package takes.
     ``cells`` holds the rows, columns and values of the positive entries in
     row-major order; the dense read-only ``q`` is formed only when it is
     read.  Couplings with zero diagonal carry no cell there, asserted by
@@ -75,22 +105,20 @@ class ProbabilityMatrix:
     """
 
     def __init__(self, q: np.ndarray) -> None:
-        q = np.array(q, dtype=float)
+        try:
+            q = np.array(q, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("q must be a square matrix of numbers") from exc
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValidationError(f"q must be a square matrix, got shape {q.shape}")
         if q.shape[0] < 2:
             raise ValidationError("q must be at least 2 x 2")
-        if not np.all(np.isfinite(q)):
-            raise ValidationError("q must be finite")
-        if q.min() < -1e-15:
-            raise ValidationError(f"negative entry {q.min()!r} in probability matrix")
-        q[q < 0.0] = 0.0
-        total = float(q.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"total mass {total!r} differs from 1")
+        # Zero entries change neither the contract's verdict nor the sum.
+        rows, cols = np.nonzero(q)
+        values = q[rows, cols]
+        _probabilities(values.tolist(), "q")
         q.setflags(write=False)
-        rows, cols = np.nonzero(q > 0.0)
-        self._set(q.shape[0], rows, cols, q[rows, cols])
+        self._set(q.shape[0], rows, cols, values)
         self.q = q
 
     @classmethod
@@ -98,9 +126,6 @@ class ProbabilityMatrix:
         cls, n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray
     ) -> "ProbabilityMatrix":
         """The matrix with positive ``values`` at (rows, cols), given row-major."""
-        total = math.fsum(values.tolist())
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"total mass {total!r} differs from 1")
         matrix = cls.__new__(cls)
         matrix._set(n, rows, cols, values)
         return matrix
@@ -121,15 +146,18 @@ class ProbabilityMatrix:
 
     @property
     def row_marginals(self) -> np.ndarray:
-        return self.q.sum(axis=1)
+        rows, _, values = self.cells
+        return np.bincount(rows, values, self.n)
 
     @property
     def col_marginals(self) -> np.ndarray:
-        return self.q.sum(axis=0)
+        _, cols, values = self.cells
+        return np.bincount(cols, values, self.n)
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.q))
+        rows, cols, values = self.cells
+        return float(values[rows == cols].sum())
 
     def is_zero_trace(self) -> bool:
         rows, cols, _ = self.cells
@@ -147,28 +175,27 @@ class ProbabilityMatrix:
 
 @dataclass(frozen=True)
 class JointDiscreteDistribution:
-    """A finite-support joint law: n-dimensional support vectors with masses."""
+    """A finite-support joint law: n-dimensional support vectors with masses.
+
+    The masses meet the probability contract of ``ProbabilityMatrix``.
+    """
 
     support: tuple[tuple[float, ...], ...]
     prob: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        support = tuple(tuple(map(float, vec)) for vec in self.support)
-        prob = tuple(map(float, self.prob))
-        if len(support) == 0:
-            raise ValidationError("support must be non-empty")
+        try:
+            support = tuple(tuple(map(float, vec)) for vec in self.support)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("support must be a sequence of vectors of numbers") from exc
+        prob = tuple(_probabilities(self.prob, "prob")[0])
         if len(support) != len(prob):
             raise ValidationError("support and prob lengths differ")
         dims = {len(vec) for vec in support}
         if len(dims) != 1:
             raise ValidationError("support vectors must share one dimension")
-        if not all(map(math.isfinite, itertools.chain(prob, *support))):
-            raise ValidationError("support and prob must be finite")
-        if min(prob) < 0.0:
-            raise ValidationError("probabilities must be nonnegative")
-        total = math.fsum(prob)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1")
+        if not all(map(math.isfinite, itertools.chain(*support))):
+            raise ValidationError("support must be finite")
         if len(set(support)) != len(support):
             raise ValidationError("duplicate support vectors")
         object.__setattr__(self, "support", support)
@@ -216,17 +243,6 @@ def extremal_marginals(spec: MomentSpec, p: DualPoint) -> MassTable:
     return table
 
 
-def _validate_marginal_vector(v: Sequence[float], name: str) -> list[float]:
-    vals = [float(x) for x in v]
-    if any(x < -1e-12 for x in vals):
-        raise ValidationError(f"{name} has a negative entry")
-    vals = [max(x, 0.0) for x in vals]
-    total = math.fsum(vals)
-    if abs(total - 1.0) > 1e-8:
-        raise ValidationError(f"{name} sums to {total!r}, not 1")
-    return vals
-
-
 #: Every finite float is an integer count of 2**-1074, the smallest subnormal.
 _UNIT = 1 << 1074
 
@@ -260,7 +276,9 @@ def _coupling_on_a_circle(
     that side of k holds mass; where both do, the circle yields the exact
     star.  Unequal totals go to a slack index, whose row and column are
     dropped: it holds L - sum p and L - sum q, with L the larger total (or
-    the largest p_i + q_i, should that exceed it).
+    the largest p_i + q_i, should that exceed it).  So a row or column
+    misses its mass by at most n eps m, on the forced index, or by L less
+    the smaller total.
     """
     n = len(p)
     P, Q = list(map(_units, p)), list(map(_units, q))
@@ -301,38 +319,51 @@ def _marginals_match(
     cells: tuple[np.ndarray, np.ndarray, np.ndarray],
     p: Sequence[float],
     q: Sequence[float],
-    tol: float = 1e-12,
 ) -> bool:
-    """Whether the row and column sums of ``cells`` are ``p`` and ``q`` to ``tol``."""
+    """Whether the row and column sums of ``cells`` are ``p`` and ``q`` to 1e-12."""
     rows, cols, values = cells
     n = len(p)
     return bool(
-        np.max(np.abs(np.bincount(rows, values, n) - p)) <= tol
-        and np.max(np.abs(np.bincount(cols, values, n) - q)) <= tol
+        np.max(np.abs(np.bincount(rows, values, n) - p)) <= _MASS_TOL
+        and np.max(np.abs(np.bincount(cols, values, n) - q)) <= _MASS_TOL
     )
 
 
 def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMatrix:
     """A probability matrix with marginals (p, q) and exactly zero diagonal.
 
-    Exists if and only if max_i (p_i + q_i) <= 1.  At equality for index k
-    the solution is unique: column k carries p_i (i != k) and row k carries
-    q_j (j != k).  One cut of a circle covers both cases, in O(n) exact
-    integer steps with at most |supp p| + |supp q| cells, and gives the
-    star at equality bit for bit; its marginals are checked to 1e-12 and a
-    miss raises ``InfeasibleCouplingError``.
+    p and q each meet the probability contract (finite, nonnegative, their
+    ``math.fsum`` within 1e-12 of 1) and share a length n >= 2, or
+    ``ValidationError`` is raised.  A coupling exists if and only if the
+    totals agree and max_i (p_i + q_i) is at most the total; both are
+    checked up front to 3/4 of 1e-12, and a miss raises
+    ``InfeasibleCouplingError``.  For n up to 2,000 the construction then
+    moves no marginal by more than that (see :func:`_coupling_on_a_circle`)
+    and rounds its sums by at most (n + 2) 2**-53 < 2.5e-13, so its check
+    of the marginals to 1e-12 fails, with ``InfeasibleCouplingError``, only
+    on a fault of this code.
+
+    At equality for index k the solution is unique: column k carries p_i (i
+    != k) and row k carries q_j (j != k).  One cut of a circle covers both
+    cases, in O(n) exact integer steps with at most |supp p| + |supp q|
+    cells, and gives the star at equality bit for bit.
     """
-    pv = _validate_marginal_vector(p, "p")
-    qv = _validate_marginal_vector(q, "q")
+    pv, p_total = _probabilities(p, "p")
+    qv, q_total = _probabilities(q, "q")
     if len(pv) != len(qv):
         raise ValidationError("p and q must have equal length")
     if len(pv) < 2:
         raise ValidationError("need at least two indices")
+    edge = 0.75 * _MASS_TOL
+    if abs(p_total - q_total) > edge:
+        raise InfeasibleCouplingError(
+            f"no coupling exists: p sums to {p_total!r} and q to {q_total!r}"
+        )
     worst = max(pi + qi for pi, qi in zip(pv, qv))
-    if worst > 1.0 + 1e-12:
+    if worst > min(p_total, q_total) + edge:
         k = max(range(len(pv)), key=lambda i: pv[i] + qv[i])
         raise InfeasibleCouplingError(
-            "no zero-diagonal coupling exists: requires max_i (p_i + q_i) <= 1 "
+            "no zero-diagonal coupling exists: requires max_i (p_i + q_i) <= sum p "
             f"but index {k} has p+q = {worst!r}"
         )
     cells = _coupling_on_a_circle(pv, qv)
@@ -463,9 +494,9 @@ def perturb_coupling(m: ProbabilityMatrix) -> ProbabilityMatrix | None:
     eps = q[givers, cols].min()
     out = np.array(q)
     out[rows, cols] += eps
+    # The smallest giver becomes exactly 0, and no other goes below it.
     out[givers, cols] -= eps
-    out[np.abs(out) < 1e-16] = 0.0
-    candidate = ProbabilityMatrix(q=out)
+    candidate = ProbabilityMatrix._from_cells(n, *np.nonzero(out), out[out != 0.0])
     if np.array_equal(out, q) or not _marginals_match(
         candidate.cells, m.row_marginals, m.col_marginals
     ):

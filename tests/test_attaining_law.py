@@ -177,18 +177,34 @@ class TestGreedyCoupling:
                 elif kind == "near":
                     assert 1.0 - 1e-13 <= worst < 1.0
                 matrix = zero_trace_coupling(p, q)
-                assert _marginals_match(matrix.cells, p, q, tol=1e-12)
+                assert _marginals_match(matrix.cells, p, q)
                 assert matrix.is_zero_trace() and matrix.cells[2].min() > 0.0
 
     def test_marginals_that_disagree_raise(self):
-        # Within the 1e-8 normalisation slack each vector is accepted, but
-        # no matrix has both marginals to 1e-12 when their totals differ.
-        p = [0.3, 0.3, 0.4 + 1e-10]
+        # Each vector meets the probability contract, but their totals lie
+        # 9e-13 apart, beyond the 3/4 of 1e-12 the construction may move a
+        # marginal: that is raised up front, before any cell is formed.
+        p = [0.3, 0.3, 0.4 + 9e-13]
         q = [0.4, 0.3, 0.3]
-        with pytest.raises(InfeasibleCouplingError, match="marginal check"):
+        with pytest.raises(InfeasibleCouplingError, match="^no coupling exists: p sums to"):
             zero_trace_coupling(p, q)
-        with pytest.raises(InfeasibleCouplingError, match="marginal check"):
+        with pytest.raises(InfeasibleCouplingError, match="^no coupling exists: p sums to"):
             zero_trace_coupling(q, p)
+        # A total 1e-10 from 1 breaks the contract itself.
+        with pytest.raises(ValidationError, match="^p sums to"):
+            zero_trace_coupling([0.3, 0.3, 0.4 + 1e-10], q)
+        with pytest.raises(ValidationError, match="^q sums to"):
+            zero_trace_coupling(q, [0.3, 0.3, 0.4 + 1e-10])
+
+    def test_a_pair_beyond_the_totals_is_infeasible_up_front(self):
+        # Both totals are 1 - 5e-13 and p_0 + q_0 = 1 + 5e-13: within 1e-12
+        # of 1, but 1e-12 beyond what any coupling of these marginals can
+        # put in row and column 0.
+        p = [0.5 + 5e-13, 0.5 - 1e-12, 0.0]
+        q = [0.5, 0.0, 0.5 - 5e-13]
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(InfeasibleCouplingError, match="index 0"):
+                zero_trace_coupling(a, b)
 
     def test_marginal_check_reads_rows_and_columns(self):
         cells = (np.array([0, 1]), np.array([1, 0]), np.array([0.3, 0.7]))

@@ -227,6 +227,28 @@ class TestPaperExamplesCommand:
         }
 
 
+    def test_a_joint_off_its_tables_fails_their_rows(self, capsys, monkeypatch):
+        """A joint with the wrong number of atoms or of range values fails
+        the rows that compare it with their tables, as an infinite error."""
+        table_error = cli._atom_table_error
+        monkeypatch.setattr(cli, "_atom_table_error", lambda j, atoms: table_error(j, atoms[1:]))
+        monkeypatch.setattr(cli, "_range_distribution", lambda joint: [(6.0, 1.0)])
+        code, out, _ = run_cli(capsys, "paper-examples")
+        assert code == 1
+        failed = {
+            (case["case"], case["quantity"]): case["value"]
+            for case in json.loads(out)["cases"]
+            if not case["pass"]
+        }
+        assert failed == {
+            ("ag-tight-triple", "joint-max-error"): math.inf,
+            ("asymmetric-spread-triple", "range-low"): math.inf,
+            ("asymmetric-spread-triple", "prob-low"): math.inf,
+            ("asymmetric-spread-triple", "range-high"): math.inf,
+            ("asymmetric-spread-triple", "prob-high"): math.inf,
+        }
+
+
 class TestErrorHandling:
     def test_missing_input_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bound")

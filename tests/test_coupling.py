@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import perturb_coupling_by_search, random_spec
 from rangebounds import (
@@ -9,11 +11,13 @@ from rangebounds import (
     JointDiscreteDistribution,
     MomentSpec,
     ProbabilityMatrix,
+    RangeBoundsError,
     ValidationError,
     extremal_components,
     perturb_coupling,
     zero_trace_coupling,
 )
+from rangebounds import extremal
 
 
 def star_matrix(rng, n, center=0):
@@ -76,6 +80,8 @@ class TestProbabilityMatrix:
         assert off.trace == 0.0
         mixed = ProbabilityMatrix(q=np.array([[0.25, 0.25], [0.25, 0.25]]))
         assert not mixed.is_zero_trace()
+        assert mixed.trace == 0.5
+        assert mixed.row_marginals.tolist() == mixed.col_marginals.tolist() == [0.5, 0.5]
 
     def test_json_round_trip(self):
         matrix = ProbabilityMatrix(q=np.array([[0.0, 0.5], [0.5, 0.0]]))
@@ -289,3 +295,210 @@ class TestPerturbCoupling:
         other = perturb_coupling(coupling)
         assert other is not None
         assert_valid_perturbation(coupling, other)
+
+
+def cyclic_matrix(v):
+    """The n x n matrix with v[i] at cell (i, i + 1 mod n): zero diagonal,
+    and its entries are exactly those of v."""
+    n = len(v)
+    q = np.zeros((n, n))
+    q[np.arange(n), (np.arange(n) + 1) % n] = v
+    return q
+
+
+def accepts(construct) -> bool:
+    """Whether ``construct()`` returns; a ``RangeBoundsError`` means it
+    rejected its input, and any other exception fails the test."""
+    try:
+        construct()
+    except RangeBoundsError:
+        return False
+    return True
+
+
+def meets_contract(v) -> bool:
+    return (
+        all(map(math.isfinite, v))
+        and min(v) >= 0.0
+        and abs(math.fsum(v) - 1.0) <= 1e-12
+    )
+
+
+def probability_vectors(n):
+    """Probability vectors of length n: positive weights over their sum."""
+    return st.lists(st.integers(1, 1000), min_size=n, max_size=n).map(
+        lambda w: [x / sum(w) for x in w]
+    )
+
+
+#: One entry replaced by a value the contract must judge.
+BAD_ENTRIES = [math.nan, math.inf, -math.inf, -1e-13, -1e-300, -0.5, -0.0, 0.0]
+
+
+@st.composite
+def judged_vectors(draw, n=None):
+    """A probability vector, perhaps with one entry replaced by an odd
+    value, or moved by k 1e-13 so that its sum lands on either side of the
+    contract's 1e-12."""
+    n = n or draw(st.integers(2, 7))
+    v = draw(probability_vectors(n))
+    i = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["keep", "replace", "shift"]))
+    if kind == "replace":
+        bad = draw(st.sampled_from(BAD_ENTRIES))
+        if math.isfinite(bad):
+            # Another entry takes up the difference, so the sum stays 1.
+            v[(i + 1) % n] += v[i] - bad
+        v[i] = bad
+    elif kind == "shift":
+        v[i] += draw(st.integers(-20, 20)) * 1e-13
+    return v
+
+
+class TestProbabilityContract:
+    """One rule for every probability vector and matrix: finite entries,
+    none negative, ``math.fsum`` within 1e-12 of 1."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_non_finite_marginals_raise_validation_error(self, bad, side):
+        good = [0.5, 0.25, 0.25]
+        p, q = [bad, 0.5, 0.5], list(good)
+        if side == "q":
+            p, q = q, p
+        with pytest.raises(ValidationError, match=f"^{side} must be finite"):
+            zero_trace_coupling(p, q)
+
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_a_sum_off_by_1e_10_is_rejected_up_front(self, side):
+        off, good = [0.5 + 1e-10, 0.25, 0.25], [0.25, 0.5, 0.25]
+        p, q = (off, good) if side == "p" else (good, off)
+        with pytest.raises(ValidationError, match=f"^{side} sums to"):
+            zero_trace_coupling(p, q)
+
+    def test_tiny_negatives_are_rejected_not_clamped(self):
+        with pytest.raises(ValidationError, match="^p must be nonnegative"):
+            zero_trace_coupling([0.5, 0.5, -1e-13], [0.25, 0.25, 0.5])
+        with pytest.raises(ValidationError, match="^q must be nonnegative"):
+            ProbabilityMatrix(q=[[0.0, 0.5], [0.5, -1e-16]])
+
+    def test_non_numeric_input_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="^p must be a vector of numbers"):
+            zero_trace_coupling([[0.5, 0.5]], [0.5, 0.5])
+        with pytest.raises(ValidationError, match="^q must be a square matrix of numbers"):
+            ProbabilityMatrix(q=[[0.0, 1.0], [0.0]])
+        with pytest.raises(ValidationError, match="^support must be a sequence"):
+            JointDiscreteDistribution(support=(0.0, 1.0), prob=(0.5, 0.5))
+
+    @pytest.mark.parametrize("n", [3, 60, 2000])
+    def test_marginals_at_the_edges_are_met(self, n):
+        """Totals 7.4e-13 apart, and a pair p_0 + q_0 forced although it
+        falls (n - 1) eps short of the total, pass the checks up front and
+        then meet both marginals to 1e-12."""
+        rng = np.random.default_rng(n)
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        p[0] += 3.7e-13
+        q[0] -= 3.7e-13
+        gap = (n - 1) * 2.0**-52
+        star = [0.5] + [0.5 / (n - 1)] * (n - 1)
+        near = [0.5 - gap] + [(0.5 + gap) / (n - 1)] * (n - 1)
+        for a, b in ((p.tolist(), q.tolist()), (star, near)):
+            for a, b in ((a, b), (b, a)):
+                assert extremal._marginals_match(zero_trace_coupling(a, b).cells, a, b)
+
+    def test_perturbation_keeps_a_tiny_mass_bit_for_bit(self):
+        """A cell of 2**-60 outside the exchange cycle is carried over as it
+        is; the marginals of the perturbation equal the input's exactly.
+        (0.25 - 2**-60 rounds to 0.25, so the total is 1 + 2**-60, within
+        the contract.)"""
+        t = 2.0**-60
+        q = np.array(
+            [[0, 0.25, 0.25 - t, t], [0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0, 0]]
+        )
+        matrix = ProbabilityMatrix(q=q)
+        other = perturb_coupling(matrix)
+        assert other is not None
+        assert other.q.tolist() == [
+            [0.0, 0.5, 0.0, t], [0.0, 0.0, 0.25, 0.0], [0.25, 0.0, 0.0, 0.0], [0.0] * 4
+        ]
+        assert other.row_marginals.tolist() == matrix.row_marginals.tolist()
+        assert other.col_marginals.tolist() == matrix.col_marginals.tolist()
+
+    def test_a_failed_coupling_check_raises(self, monkeypatch):
+        """The marginal check guards the construction itself: cells that
+        miss a marginal raise rather than return."""
+        def misplaced(p, q):
+            return np.array([0, 1]), np.array([1, 0]), np.array([0.5, 0.5])
+
+        monkeypatch.setattr(extremal, "_coupling_on_a_circle", misplaced)
+        with pytest.raises(InfeasibleCouplingError, match="marginal check"):
+            zero_trace_coupling([0.25, 0.75], [0.75, 0.25])
+
+    def test_a_failed_shift_raises(self, monkeypatch):
+        """A cycle whose giving cells hold nothing shifts nothing; the check
+        after the shift raises rather than return the input as another
+        coupling.  The cycle runs through rows 0, 1 and columns 0, 1, which
+        are nodes 3 and 4."""
+        monkeypatch.setattr(extremal, "_exchange_cycle", lambda positive: [0, 3, 1, 4])
+        q = np.zeros((3, 3))
+        q[0, 1] = q[1, 2] = q[2, 0] = 1.0 / 3.0
+        with pytest.raises(ValidationError, match="failed the marginal check"):
+            perturb_coupling(ProbabilityMatrix(q=q))
+
+    @settings(max_examples=400)
+    @given(judged_vectors())
+    def test_constructors_accept_the_same_vectors(self, v):
+        """The coupling's marginals, a matrix's entries and a joint law's
+        masses are judged by one rule.  The coupling is asked for marginals
+        v and v rotated, whose totals are equal and which always admit a
+        zero-diagonal coupling, so only the contract can reject them."""
+        n = len(v)
+        verdicts = {
+            accepts(lambda: zero_trace_coupling(v, v[1:] + v[:1])),
+            accepts(lambda: ProbabilityMatrix(q=cyclic_matrix(v))),
+            accepts(
+                lambda: JointDiscreteDistribution(
+                    support=tuple((float(i),) for i in range(n)), prob=v
+                )
+            ),
+        }
+        assert verdicts == {meets_contract(v)}
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_only_typed_errors_escape(self, data):
+        """Odd marginals, matrices and laws raise ``RangeBoundsError`` or
+        nothing; accepted marginals never fail the coupling's own check,
+        and every coupling and perturbation meets its marginals."""
+        p = data.draw(judged_vectors())
+        shape = data.draw(st.sampled_from(["same", "other", "short", "nested"]))
+        if shape == "same":
+            q = data.draw(judged_vectors(len(p)))
+        elif shape == "other":
+            q = data.draw(judged_vectors())
+        elif shape == "short":
+            q = p[:-1]
+        else:
+            q = [p]
+        try:
+            matrix = zero_trace_coupling(p, q)
+        except InfeasibleCouplingError as exc:
+            assert "marginal check" not in str(exc)
+        except RangeBoundsError:
+            pass
+        else:
+            assert matrix.is_zero_trace()
+            assert extremal._marginals_match(matrix.cells, p, q)
+            other = perturb_coupling(matrix)
+            if other is not None:
+                assert_valid_perturbation(matrix, other)
+        for q in (np.array(p), np.array([p, p]), cyclic_matrix(p)[None], [p, p[:-1]]):
+            if accepts(lambda: ProbabilityMatrix(q=q)):
+                matrix = ProbabilityMatrix(q=q)
+                if accepts(lambda: perturb_coupling(matrix)):
+                    other = perturb_coupling(matrix)
+                    if other is not None:
+                        assert_valid_perturbation(matrix, other)
+        for support in ((0.0,) * len(p), [[float(i)] for i in range(len(p) + 1)], "ab"):
+            accepts(lambda: JointDiscreteDistribution(support=support, prob=p))
+        accepts(lambda: perturb_coupling(p))

@@ -371,6 +371,16 @@ class TestRhoBound:
         assert report.method.startswith("equal-means-closed-form")
         assert report.rho == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-12)
 
+    def test_a_solve_off_the_equal_means_closed_form_raises(self, monkeypatch):
+        """The solver cross-checks the closed form: a disagreement beyond
+        1e-8 of it raises, carrying the solver's report."""
+        spec = MomentSpec(mu=(2.0, 2.0, 2.0), sigma=(1.0, 1.0, 3.0))
+        closed = equal_means_bound(spec)
+        monkeypatch.setattr(solver, "equal_means_bound", lambda spec: 1.01 * closed)
+        with pytest.raises(ConvergenceError, match="disagrees with the equal-means") as excinfo:
+            rho_bound(spec)
+        assert excinfo.value.best.rho == pytest.approx(closed, rel=1e-10)
+
     def test_sits_between_mean_spread_and_dispersion_bound(self):
         rng = np.random.default_rng(22)
         for _ in range(40):

@@ -126,6 +126,26 @@ class TestFeasibleProbe:
         with pytest.raises(ValidationError):
             feasible_probe(spec, 0)
 
+    def test_degenerate_draws_are_redrawn_then_refused(self, monkeypatch):
+        """A draw with a coordinate of no variance is drawn again, and a
+        generator that draws nothing else is refused after its budget."""
+        real = np.random.default_rng
+
+        class Flat:
+            """A generator whose normal draws are all 0."""
+
+            def __init__(self, seed):
+                self.rng = real(seed)
+                self.integers, self.random = self.rng.integers, self.rng.random
+
+            def normal(self, loc, scale, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Flat)
+        spec = MomentSpec(mu=(0.0, 1.0), sigma=(1.0, 1.0))
+        with pytest.raises(ValidationError, match="degenerate"):
+            feasible_probe(spec, 1)
+
 
 class TestDualGridCheck:
     def test_grid_minimum_stays_above_reported_bound(self):
