@@ -12,9 +12,10 @@ Subcommands:
   published target values.
 
 Specs are JSON objects {"mu": [...], "sigma": [...]} given via ``--input``
-as a file path, ``-`` for stdin, or an inline JSON literal.  Exit codes:
-0 success, 1 invalid input, 2 numeric non-convergence.  Reports go to
-stdout, diagnostics to stderr.
+as a file path, ``-`` for stdin, or an inline JSON literal.  Each command
+takes only the flags it reads (``_COMMANDS``); any other flag is a usage
+error.  Exit codes: 0 success, 1 invalid input or usage, 2 numeric
+non-convergence.  Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -35,39 +36,10 @@ from .objective import MomentSpec
 from .solver import DEFAULT_TOL, bnt_range, plackett_iid_bound, rho_bound
 from .verify import MomentCheckReport, check_moments, mc_expected_range
 
-__all__ = ["CliConfig", "run", "main"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """One parsed invocation.
-
-    ``input_source`` is a path, ``-`` for stdin, or inline JSON (text that
-    starts with ``{`` or names no file); it is None for commands that need
-    no input.
-    """
-
-    command: str
-    input_source: str | None = None
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    samples: int = 1_000_000
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if not (self.tol > 0.0):
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if int(self.samples) < 1:
-            raise ValidationError(f"samples must be at least 1, got {self.samples}")
-        if self.format not in ("json", "csv"):
-            raise ValidationError(f"format must be 'json' or 'csv', got {self.format!r}")
-
-
-def _read_input(source: str | None) -> dict:
-    if source is None:
-        raise ValidationError("this command requires --input")
+def _read_input(source: str) -> dict:
     if source == "-":
         text, missing = sys.stdin.read(), None
     elif source.lstrip().startswith("{"):
@@ -122,10 +94,10 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _run_bound(config: CliConfig) -> int:
-    spec = MomentSpec.from_json_dict(_read_input(config.input_source))
-    report = rho_bound(spec, tol=config.tol)
-    _emit(report.to_json_dict(), config.format)
+def _run_bound(args: argparse.Namespace) -> int:
+    spec = MomentSpec.from_json_dict(_read_input(args.input))
+    report = rho_bound(spec, tol=args.tol)
+    _emit(report.to_json_dict(), args.format)
     return 0
 
 
@@ -197,13 +169,9 @@ def _extremal_json(head: dict, joint: AttainingJoint) -> str:
     return "".join(pieces)
 
 
-def _run_extremal(config: CliConfig) -> int:
-    if config.format == "csv":
-        raise ValidationError(
-            "extremal output includes a joint distribution and is JSON-only"
-        )
-    spec = MomentSpec.from_json_dict(_read_input(config.input_source))
-    parts = extremal_components(spec, tol=config.tol)
+def _run_extremal(args: argparse.Namespace) -> int:
+    spec = MomentSpec.from_json_dict(_read_input(args.input))
+    parts = extremal_components(spec, tol=args.tol)
     head = {
         "mu": list(spec.mu),
         "sigma": list(spec.sigma),
@@ -232,18 +200,18 @@ def _joint_agrees(
     return check, check.passed and gap <= slack
 
 
-def _run_verify(config: CliConfig) -> int:
-    data = _read_input(config.input_source)
+def _run_verify(args: argparse.Namespace) -> int:
+    data = _read_input(args.input)
     spec = MomentSpec.from_json_dict(data)
     embedded = None
     if "joint" in data:
         embedded = JointDiscreteDistribution.from_json_dict(data["joint"])
-    moment_tol = max(config.tol, 1e-10)
-    parts = extremal_components(spec, tol=config.tol)
+    moment_tol = max(args.tol, 1e-10)
+    parts = extremal_components(spec, tol=args.tol)
     rho = parts.report.rho
     check, rebuilt_ok = _joint_agrees(parts.joint, spec, rho, moment_tol)
     exact = check.expected_range
-    estimate, std_error = mc_expected_range(parts.joint, config.samples, seed=config.seed)
+    estimate, std_error = mc_expected_range(parts.joint, args.samples, seed=args.seed)
     # The floor covers the rounding of the estimate's own mean when every
     # sampled range is the same and the standard error is 0.
     mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12 * exact
@@ -260,7 +228,7 @@ def _run_verify(config: CliConfig) -> int:
         "embedded_joint_pass": embedded_ok,
         "pass": passed,
     }
-    _emit(payload, config.format)
+    _emit(payload, args.format)
     return 0 if passed else 1
 
 
@@ -268,9 +236,9 @@ def _homogeneous(spec: MomentSpec) -> bool:
     return max(spec.mu) == min(spec.mu) and max(spec.sigma) == min(spec.sigma)
 
 
-def _run_compare(config: CliConfig) -> int:
-    spec = MomentSpec.from_json_dict(_read_input(config.input_source))
-    report = rho_bound(spec, tol=config.tol)
+def _run_compare(args: argparse.Namespace) -> int:
+    spec = MomentSpec.from_json_dict(_read_input(args.input))
+    report = rho_bound(spec, tol=args.tol)
     plackett = (
         plackett_iid_bound(spec.n, spec.sigma[0]) if _homogeneous(spec) else None
     )
@@ -281,7 +249,7 @@ def _run_compare(config: CliConfig) -> int:
         "plackett": plackett,
         "infimum": report.infimum,
     }
-    _emit(payload, config.format)
+    _emit(payload, args.format)
     return 0
 
 
@@ -413,30 +381,57 @@ def _case_rows() -> list[dict]:
     return rows
 
 
-def _run_paper_examples(config: CliConfig) -> int:
+def _run_paper_examples(args: argparse.Namespace) -> int:
     rows = _case_rows()
     all_pass = all(r["pass"] for r in rows)
-    if config.format == "csv":
+    if args.format == "csv":
         payload = {f"{r['case']}.{r['quantity']}": r["value"] for r in rows}
     else:
         payload = {"cases": rows}
-    _emit({**payload, "pass": all_pass}, config.format)
+    _emit({**payload, "pass": all_pass}, args.format)
     return 0 if all_pass else 1
 
 
-#: Every command, in the order of ``--help``: its runner and its help line.
-_COMMANDS = {
-    "bound": (_run_bound, "compute the tight expected-range bound for a moment spec"),
-    "extremal": (_run_extremal, "construct the attaining joint distribution"),
-    "verify": (_run_verify, "rebuild and numerically check the attaining joint"),
-    "compare": (_run_compare, "tabulate the tight bound against comparison bounds"),
-    "paper-examples": (_run_paper_examples, "rerun the built-in worked examples against targets"),
+def _positive(kind: type) -> Callable[[str], float]:
+    """An argparse ``type``: the text as ``kind``, refused unless it is
+    positive (for an int, at least 1)."""
+
+    def parse(text: str) -> float:
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    # argparse names the type in "invalid float value: ...".
+    parse.__name__ = kind.__name__
+    return parse
+
+
+#: Every flag, in the order of ``--help``: its argparse keywords.
+_FLAGS = {
+    "input": dict(
+        required=True, help="spec as a file path, '-' for stdin, or an inline JSON object"
+    ),
+    "tol": dict(type=_positive(float), default=DEFAULT_TOL, help="solver tolerance"),
+    "seed": dict(type=int, default=0, help="Monte Carlo seed"),
+    "samples": dict(type=_positive(int), default=1_000_000, help="Monte Carlo sample count"),
+    "format": dict(choices=("json", "csv"), default="json", help="output format"),
 }
 
-
-def run(config: CliConfig) -> int:
-    """Execute one configured invocation; returns the process exit code."""
-    return _COMMANDS[config.command][0](config)
+#: Every command, in the order of ``--help``: its runner, the flags it reads
+#: and its help line.
+_COMMANDS = {
+    "bound": (_run_bound, ("input", "tol", "format"),
+              "compute the tight expected-range bound for a moment spec"),
+    "extremal": (_run_extremal, ("input", "tol"),
+                 "construct the attaining joint distribution"),
+    "verify": (_run_verify, ("input", "tol", "seed", "samples", "format"),
+               "rebuild and numerically check the attaining joint"),
+    "compare": (_run_compare, ("input", "tol", "format"),
+                "tabulate the tight bound against comparison bounds"),
+    "paper-examples": (_run_paper_examples, ("format",),
+                       "rerun the built-in worked examples against targets"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,28 +452,18 @@ def _build_parser() -> _Parser:
         description="Tight bounds on the expected range of dependent random variables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line) in _COMMANDS.items():
+    for name, (_, flags, help_line) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        p.add_argument(
-            "--input",
-            default=None,
-            help="spec as a file path, '-' for stdin, or an inline JSON object",
-        )
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
-        p.add_argument("--seed", type=int, default=CliConfig.seed, help="Monte Carlo seed")
-        p.add_argument(
-            "--samples", type=int, default=CliConfig.samples, help="Monte Carlo sample count"
-        )
-        p.add_argument(
-            "--format", choices=("json", "csv"), default=CliConfig.format, help="output format"
-        )
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = vars(_build_parser().parse_args(argv))
+    """Run one invocation; returns the process exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return run(CliConfig(input_source=args.pop("input"), **args))
+        return _COMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

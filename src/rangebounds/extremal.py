@@ -69,6 +69,10 @@ __all__ = [
 #: rounded sum of a probability vector or matrix may stray from 1.
 _MASS_TOL = 1e-12
 
+#: How far :func:`zero_trace_coupling` lets its marginals miss feasibility,
+#: up front and in the indices it forces: 3/4 of ``_MASS_TOL``.
+_EDGE = 0.75 * _MASS_TOL
+
 
 def _probabilities(values: Iterable, name: str) -> tuple[list[float], float]:
     """``values`` as floats and their ``math.fsum``, under the one contract.
@@ -271,21 +275,24 @@ def _coupling_on_a_circle(
     The masses are exact integer counts of 2**-1074, so no mass is lost
     beside a larger one and each cell is rounded once.  An index k with the
     largest p_k + q_k (the lowest on ties) within n eps of the larger total
-    m, the rounding of a sum of n masses, is forced: its row takes the rest
+    m, the rounding of a sum of n masses, and within ``_EDGE`` m of it, the
+    miss the up-front checks allow, is forced: its row takes the rest
     of every column and its column the rest of every row, each only where
     that side of k holds mass; where both do, the circle yields the exact
     star.  Unequal totals go to a slack index, whose row and column are
     dropped: it holds L - sum p and L - sum q, with L the larger total (or
     the largest p_i + q_i, should that exceed it).  So a row or column
-    misses its mass by at most n eps m, on the forced index, or by L less
-    the smaller total.
+    misses its mass by at most min(n eps, 3/4 1e-12) m, on the forced
+    index, or by L less the smaller total.
     """
     n = len(p)
     P, Q = list(map(_units, p)), list(map(_units, q))
     sp, sq = sum(P), sum(Q)
     k = max(range(n), key=lambda i: P[i] + Q[i])
     m = max(sp, sq)
-    if (m - P[k] - Q[k]) << 52 <= n * m:
+    gap = m - P[k] - Q[k]
+    num, den = _EDGE.as_integer_ratio()
+    if gap << 52 <= n * m and gap * den <= num * m:
         P[k], Q[k] = (sq - Q[k] if P[k] else 0), (sp - P[k] if Q[k] else 0)
         sp, sq = sum(P), sum(Q)
     total = max(sp, sq, max(map(int.__add__, P, Q)))
@@ -354,13 +361,12 @@ def zero_trace_coupling(p: Sequence[float], q: Sequence[float]) -> ProbabilityMa
         raise ValidationError("p and q must have equal length")
     if len(pv) < 2:
         raise ValidationError("need at least two indices")
-    edge = 0.75 * _MASS_TOL
-    if abs(p_total - q_total) > edge:
+    if abs(p_total - q_total) > _EDGE:
         raise InfeasibleCouplingError(
             f"no coupling exists: p sums to {p_total!r} and q to {q_total!r}"
         )
     worst = max(pi + qi for pi, qi in zip(pv, qv))
-    if worst > min(p_total, q_total) + edge:
+    if worst > min(p_total, q_total) + _EDGE:
         k = max(range(len(pv)), key=lambda i: pv[i] + qv[i])
         raise InfeasibleCouplingError(
             "no zero-diagonal coupling exists: requires max_i (p_i + q_i) <= sum p "

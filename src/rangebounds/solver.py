@@ -214,7 +214,9 @@ def plackett_iid_bound(n: int, sigma: float) -> float:
     if not 0.0 < sigma < math.inf:
         raise ValidationError(f"sigma must be positive and finite, got {sigma}")
     comb = math.comb(2 * n - 2, n - 1)
-    return n * sigma * math.sqrt((2.0 / (2.0 * n - 1.0)) * (1.0 - 1.0 / comb))
+    # Integer true division is correctly rounded and underflows to 0.0 where
+    # the float 1.0 / comb would overflow (n >= 520).
+    return n * sigma * math.sqrt((2.0 / (2.0 * n - 1.0)) * (1 - 1 / comb))
 
 
 def _newton_bisect(

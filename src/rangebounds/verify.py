@@ -186,11 +186,14 @@ def mc_expected_range(
     ``source`` is a :class:`JointDiscreteDistribution`, an
     :class:`AttainingJoint`, or any object with a ``sample(n_samples,
     seed=...)`` method returning an (n, dim) array.  Deterministic for fixed
-    (seed, n_samples).
+    (seed, n_samples); the seed is a nonnegative integer, as numpy's
+    generators require.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValidationError("n_samples must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if isinstance(source, (JointDiscreteDistribution, AttainingJoint)):
         ranges_by_atom = source.atom_ranges()
         prob = np.asarray(source.prob, dtype=float)

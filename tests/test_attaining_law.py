@@ -311,6 +311,15 @@ class TestCircleCoupling:
             assert cells[2].min() > 0.0
             assert _marginals_match(cells, a, b)
 
+    def test_an_index_a_rounding_short_of_the_total_at_n_10000(self):
+        # p_0 + q_0 falls 1e-12 short of the total, within n eps of it but
+        # beyond the up-front edge: forcing index 0 would move its row by
+        # 1e-12, so it is coupled as it stands.
+        n = 10_000
+        p = [0.5] + [0.5 / (n - 1)] * (n - 1)
+        q = [0.5 - 1e-12] + [(0.5 + 1e-12) / (n - 1)] * (n - 1)
+        assert_sparse_coupling(zero_trace_coupling(p, q).cells, p, q)
+
     def test_a_forced_index_takes_no_cell_on_its_empty_side(self):
         # Index 0 is forced with nothing on one side; what the other indices
         # hold on that side is rounding residue, which it must not take.

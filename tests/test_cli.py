@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,38 +16,80 @@ from rangebounds import (
     ConvergenceError,
     JointDiscreteDistribution,
     MomentSpec,
-    ValidationError,
     expected_range,
 )
 from rangebounds import cli
-from rangebounds.cli import CliConfig, main, run
+from rangebounds.cli import main
 from rangebounds.verify import _probe_joints
 
 TRIPLE = '{"mu":[-1,0,1],"sigma":[1,1.7320508,1.4142136]}'
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """``main`` on ``argv``: its exit code, a usage error's included, and
+    what it wrote."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
+#: The flags each command reads; any other is a usage error.
+READS = {
+    "bound": {"input", "tol", "format"},
+    "extremal": {"input", "tol"},
+    "verify": {"input", "tol", "seed", "samples", "format"},
+    "compare": {"input", "tol", "format"},
+    "paper-examples": {"format"},
+}
+#: A valid value of each flag.
+VALUES = {"input": TRIPLE, "tol": "1e-10", "seed": "3", "samples": "100", "format": "json"}
+
+
 class TestConfigValidation:
-    def test_rejects_unknown_command(self):
-        with pytest.raises(ValidationError):
-            CliConfig(command="solve")
+    """Invalid flags are usage errors: exit 1 with the usage line, and no
+    report."""
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValidationError):
-            CliConfig(command="bound", tol=0.0)
+    @pytest.mark.parametrize("command", sorted(READS))
+    @pytest.mark.parametrize("flag", sorted(VALUES))
+    def test_command_takes_only_the_flags_it_reads(self, capsys, command, flag):
+        code, out, _ = run_cli(capsys, command, "--help")
+        listed = re.findall(r"^  --(\w+)", out, re.MULTILINE)
+        assert (code, sorted(listed)) == (0, sorted(READS[command]))
+        if flag not in READS[command]:
+            needed = ["--input", TRIPLE] if "input" in READS[command] else []
+            code, out, err = run_cli(capsys, command, *needed, f"--{flag}", VALUES[flag])
+            assert (code, out) == (1, "")
+            assert f"error: unrecognized arguments: --{flag} {VALUES[flag]}\n" in err
 
-    def test_rejects_zero_samples(self):
-        with pytest.raises(ValidationError):
-            CliConfig(command="bound", samples=0)
+    def test_rejects_nonpositive_tolerance(self, capsys):
+        for tol in ("0", "-0.5", "nan"):
+            code, out, err = run_cli(capsys, "bound", "--input", TRIPLE, "--tol", tol)
+            assert (code, out) == (1, "")
+            assert err.startswith("usage: rangebounds bound")
+            assert f"argument --tol: must be positive, got {tol}" in err
 
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValidationError):
-            CliConfig(command="bound", format="yaml")
+    def test_rejects_unknown_command(self, capsys):
+        code, out, err = run_cli(capsys, "solve")
+        assert (code, out) == (1, "")
+        assert "argument command: invalid choice: 'solve'" in err
+
+    def test_rejects_zero_samples(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--input", TRIPLE, "--samples", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: rangebounds verify")
+        assert "argument --samples: must be positive, got 0" in err
+
+    def test_rejects_unknown_format(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--input", TRIPLE, "--format", "yaml")
+        assert (code, out) == (1, "")
+        assert "argument --format: invalid choice: 'yaml'" in err
+
+    def test_negative_seed_is_an_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--input", TRIPLE, "--seed", "-1")
+        assert (code, out, err) == (1, "", "error: seed must be nonnegative, got -1\n")
 
 
 class TestBoundCommand:
@@ -107,11 +150,12 @@ class TestExtremalCommand:
         assert all(len(row) == n for row in data["coupling"]["q"])
 
     def test_csv_format_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "extremal", "--input", TRIPLE, "--format", "csv"
-        )
-        assert code == 1
-        assert "JSON-only" in err
+        # The output holds a joint law and is JSON only: extremal takes no
+        # --format.
+        code, out, err = run_cli(capsys, "extremal", "--input", TRIPLE, "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: rangebounds")
+        assert "error: unrecognized arguments: --format csv" in err
 
 
 class TestVerifyCommand:
@@ -200,6 +244,13 @@ class TestCompareCommand:
         assert data["ag"] == pytest.approx(math.sqrt(22.0), abs=1e-5)
         assert data["plackett"] is None
 
+    def test_homogeneous_spec_at_n_600_reports_iid_bound(self, capsys):
+        # C(1198, 599) exceeds the float range.
+        spec = json.dumps({"mu": [0.0] * 600, "sigma": [1.0] * 600})
+        code, out, _ = run_cli(capsys, "compare", "--input", spec)
+        assert code == 0
+        assert json.loads(out)["plackett"] == pytest.approx(600.0 * math.sqrt(2.0 / 1199.0))
+
     def test_homogeneous_spec_reports_iid_bound(self, capsys):
         code, out, _ = run_cli(
             capsys, "compare", "--input", '{"mu":[1,1,1],"sigma":[2,2,2]}'
@@ -251,9 +302,10 @@ class TestPaperExamplesCommand:
 
 class TestErrorHandling:
     def test_missing_input_exits_one(self, capsys):
-        code, _, err = run_cli(capsys, "bound")
-        assert code == 1
-        assert "--input" in err
+        code, out, err = run_cli(capsys, "bound")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: rangebounds bound")
+        assert "error: the following arguments are required: --input" in err
 
     def test_malformed_json_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--input", '{"mu": [0, 1], "sigma"')

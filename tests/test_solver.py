@@ -85,6 +85,13 @@ class TestPlackettBound:
         assert plackett_iid_bound(2, 1.0) == pytest.approx(2.0 / math.sqrt(3.0))
         assert plackett_iid_bound(3, 1.0) == pytest.approx(math.sqrt(3.0))
 
+    @pytest.mark.parametrize("n", [520, 600, 10_000])
+    def test_large_n_where_the_binomial_exceeds_the_float_range(self, n):
+        # 1 / C(2n - 2, n - 1) is below 2**-1074, so the bound is the
+        # limit n sigma sqrt(2 / (2n - 1)) to rounding.
+        limit = n * 0.7 * math.sqrt(2.0 / (2.0 * n - 1.0))
+        assert plackett_iid_bound(n, 0.7) == pytest.approx(limit, rel=1e-15)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
             plackett_iid_bound(1, 1.0)

@@ -99,6 +99,13 @@ class TestMcExpectedRange:
         with pytest.raises(ValidationError):
             mc_expected_range(joint, 0)
 
+    def test_rejects_negative_seed(self):
+        joint = JointDiscreteDistribution(
+            support=((0.0, 1.0), (1.0, 0.0)), prob=(0.5, 0.5)
+        )
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            mc_expected_range(joint, 100, seed=-1)
+
 
 class TestFeasibleProbe:
     def test_never_exceeds_tight_bound(self):
