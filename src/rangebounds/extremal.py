@@ -45,6 +45,7 @@ from .solver import (
     _bnt_max,
     _dispersion,
     _pair,
+    _representable,
     rho_bound,
     scaled_deviations,
 )
@@ -104,8 +105,9 @@ class ProbabilityMatrix:
     within 1e-12 of 1, as for every probability vector the package takes.
     ``cells`` holds the rows, columns and values of the positive entries in
     row-major order; the dense read-only ``q`` is formed only when it is
-    read.  Couplings with zero diagonal carry no cell there, asserted by
-    producers rather than the type itself.
+    read.  Couplings with zero diagonal carry no cell there; the type does
+    not require it, and ``AttainingJoint`` and ``perturb_coupling`` refuse
+    a matrix that has one.
     """
 
     def __init__(self, q: np.ndarray) -> None:
@@ -174,7 +176,7 @@ class ProbabilityMatrix:
     def from_json_dict(cls, data: object) -> "ProbabilityMatrix":
         if not isinstance(data, dict) or "q" not in data:
             raise ValidationError("probability matrix JSON must contain key 'q'")
-        return cls(q=np.asarray(data["q"], dtype=float))
+        return cls(q=data["q"])
 
 
 @dataclass(frozen=True)
@@ -563,6 +565,10 @@ class AttainingJoint:
     coupling: ProbabilityMatrix
 
     def __post_init__(self) -> None:
+        # A diagonal cell would put its coordinate at x_plus and x_minus at
+        # once, so the atoms would not have the masses the law claims.
+        if not self.coupling.is_zero_trace():
+            raise ValidationError("coupling must have zero diagonal")
         n = self.coupling.n
         for name in ("x_zero", "x_plus", "x_minus"):
             values = np.array(getattr(self, name), dtype=float)
@@ -769,7 +775,7 @@ class PairSampler:
         d, s1, s2, delta, e = _pair(self.mu1, self.mu2, self.sigma1, self.sigma2, self.rho)
         self._rng = np.random.default_rng(self.seed)
         gamma = math.hypot(d, math.sqrt(delta))
-        self.gamma2 = math.ldexp(gamma, e)
+        self.gamma2 = _representable(gamma, e)
         if delta == 0.0:
             self.atoms = np.add([[self.mu1, self.mu2]], [[self.sigma1], [-self.sigma1]])
             self.probs = (0.5, 0.5)

@@ -56,7 +56,7 @@ equal-means closed form, and the pair bounds ``gamma2_bound`` /
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,6 +163,18 @@ def scaled_deviations(spec: MomentSpec) -> _Frame:
     return np.ldexp(dev, -e), np.ldexp(sigma, -e), e
 
 
+def _representable(value: float, e: int = 0) -> float:
+    """value * 2**e, a bound in the spec's units from its unit frame
+    (:func:`scaled_deviations`) when e is the frame's exponent.
+
+    A bound beyond the float range raises ``ValidationError`` here, before
+    a report or any table is formed at a point that is not finite.
+    """
+    if not math.isfinite(value) or math.frexp(value)[1] + e > 1024:
+        raise ValidationError("the bound exceeds the float range")
+    return math.ldexp(value, e)
+
+
 def _dispersion(frame: _Frame) -> tuple[np.ndarray, float]:
     """theta_i**2 = (mu_i - mu_bar)**2 + sigma_i**2 and their sum S, both
     over 4**e, from the spec's unit frame (:func:`scaled_deviations`).
@@ -177,7 +189,7 @@ def _dispersion(frame: _Frame) -> tuple[np.ndarray, float]:
 
 def _ag_bound(total: float, e: int) -> float:
     """sqrt(2 S) * 2**e for the sum S / 4**e of :func:`_dispersion`."""
-    return math.ldexp(math.sqrt(2.0 * total), e)
+    return _representable(math.sqrt(2.0 * total), e)
 
 
 def ag_bound(spec: MomentSpec) -> float:
@@ -198,11 +210,14 @@ def ag_general_bound(spec: MomentSpec, coeffs: Sequence[float]) -> float:
         raise ValidationError(
             f"need {spec.n} coefficients, got {cs.size}"
         )
+    if not np.all(np.isfinite(cs)):
+        raise ValidationError("coefficients must be finite")
     c_sum = math.fsum(cs.tolist())
     spread = math.fsum(np.float_power(cs - c_sum / cs.size, 2.0).tolist())
     frame = scaled_deviations(spec)
     total = _dispersion(frame)[1]
-    return spec.mu_bar * c_sum + math.ldexp(math.sqrt(spread) * math.sqrt(total), frame[2])
+    spread_term = _representable(math.sqrt(spread) * math.sqrt(total), frame[2])
+    return _representable(spec.mu_bar * c_sum + spread_term)
 
 
 def plackett_iid_bound(n: int, sigma: float) -> float:
@@ -325,7 +340,7 @@ def bnt_range(spec: MomentSpec) -> float:
     the scale of the means, the two terms cancel to ulp(mu_bar).
     """
     dev, sig, e = scaled_deviations(spec)
-    return math.ldexp(_bnt_max(dev, sig)[0] + _bnt_max(-dev, sig)[0], e)
+    return _representable(_bnt_max(dev, sig)[0] + _bnt_max(-dev, sig)[0], e)
 
 
 def _pair(
@@ -358,7 +373,7 @@ def gamma2_bound(
     nears 1; at rho = -1 it coincides with the two-coordinate range bound.
     """
     d, _, _, delta, e = _pair(mu1, mu2, sigma1, sigma2, rho)
-    return math.ldexp(math.hypot(d, math.sqrt(delta)), e)
+    return _representable(math.hypot(d, math.sqrt(delta)), e)
 
 
 def pair_cov_bounds(
@@ -383,8 +398,8 @@ def pair_cov_bounds(
     return (
         max(mu1, mu2),
         0.5 * (mu1 + mu2) + 0.5 * g2,
-        math.ldexp(rho * s1 * s2, 2 * e),
-        math.ldexp(0.25 * delta, 2 * e),
+        _representable(rho * s1 * s2, 2 * e),
+        _representable(0.25 * delta, 2 * e),
     )
 
 
@@ -427,7 +442,7 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
     if spec.n != 2:
         raise ValidationError(f"closed form requires n = 2, got n = {spec.n}")
     (m1, m2), (s1, s2) = spec.mu, spec.sigma
-    rho = math.hypot(m1 - m2, s1 + s2)
+    rho = _representable(math.hypot(m1 - m2, s1 + s2))
     frame = dev, sig, e = scaled_deviations(spec)
     (u1, u2), (w1, w2) = dev.tolist(), sig.tolist()
     c0 = (w1 * u2 + w2 * u1) / (w1 + w2)
@@ -435,30 +450,24 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
     return _report(spec, frame, mass_table(dev, sig, c0, lam0), rho, "n2-closed-form", 0)
 
 
-def _means_equal(spec: MomentSpec) -> bool:
-    """True when the means agree to 1e-12 of the largest sigma.
-
-    Moving the means by at most their spread moves rho by at most that
-    spread, and rho >= max sigma_i, so the equal-means closed form is then
-    exact to 1e-12 relative, at every scale of the spec.
-    """
-    return max(spec.mu) - min(spec.mu) <= 1e-12 * max(spec.sigma)
-
-
 def equal_means_bound(spec: MomentSpec) -> float:
-    """Tight bound when all means coincide.
+    """Tight bound when all means coincide, to 1e-12 of the largest sigma.
 
     sqrt(2 sum sigma_i**2) when 2 max sigma_i**2 <= sum sigma_i**2, else
-    max sigma_i + sqrt(sum sigma_i**2 - max sigma_i**2).
+    max sigma_i + sqrt(sum sigma_i**2 - max sigma_i**2).  The sum over the
+    other coordinates is formed on its own, in units of the largest sigma,
+    so the second form does not cancel when one sigma dominates.  Means
+    within 1e-12 of the largest sigma move rho by at most that spread, and
+    rho >= max sigma_i, so the form is then exact to 1e-12 relative.
     """
-    if not _means_equal(spec):
+    if max(spec.mu) - min(spec.mu) > 1e-12 * max(spec.sigma):
         raise ValidationError("closed form requires all means equal")
-    scale = max(spec.sigma)
-    s2 = [(s / scale) ** 2 for s in spec.sigma]
-    total = math.fsum(s2)
-    if 2.0 <= total:
-        return scale * math.sqrt(2.0 * total)
-    return scale * (1.0 + math.sqrt(total - 1.0))
+    k = spec.sigma.index(max(spec.sigma))
+    scale = spec.sigma[k]
+    rest = math.fsum((s / scale) ** 2 for i, s in enumerate(spec.sigma) if i != k)
+    if rest >= 1.0:
+        return scale * math.sqrt(2.0 * (1.0 + rest))
+    return scale * (1.0 + math.sqrt(rest))
 
 
 def _inner_table(
@@ -602,10 +611,14 @@ def minimize_phi(
     exercise uniqueness.  It finds the inner root lambda*(c) at the start,
     then takes joint Newton steps in (c, lambda), and a refused step
     restores onto the inner root inside the bracket on c that the inner
-    roots certify (``_joint_newton``).  ``iterations`` counts the tables
-    whose gradient and Hessian were read: the last table of each inner
-    root and one per joint step.  A reported gradient norm above ``tol``
-    raises :class:`ConvergenceError` carrying the report.
+    roots certify (``_joint_newton``).  When the means are equal in the
+    unit frame the bracket is the common mean, and the report is the single
+    inner root there, started at its closed form, with method
+    ``equal-means-closed-form`` and 0 iterations.  ``iterations`` counts
+    the tables whose gradient and Hessian were read: the last table of each
+    inner root and one per joint step.  rho is phi at the reported point on
+    either path.  A reported gradient norm above ``tol`` raises
+    :class:`ConvergenceError` carrying the report.
     """
     if float(tol) <= 0.0:
         raise ValidationError("tol must be positive")
@@ -621,13 +634,14 @@ def minimize_phi(
     # all means are equal, when the bracket is a single point.
     if lo == hi:
         table, iterations = _inner_table(mu, sigma, lo, None), 0
+        method = "equal-means-closed-form"
     else:
         start = c_start if c_start is not None and lo < c_start < hi else 0.5 * (lo + hi)
         table, iterations = _joint_newton(mu, sigma, lo, hi, start)
-    method = "general-solver"
+        method = "general-solver"
     if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"
-    report = _report(spec, frame, table, math.ldexp(table.phi(), e), method, iterations)
+    report = _report(spec, frame, table, _representable(table.phi(), e), method, iterations)
     if report.residual <= tol:
         return report
     raise ConvergenceError(
@@ -638,23 +652,10 @@ def minimize_phi(
 
 
 def rho_bound(spec: MomentSpec, tol: float = DEFAULT_TOL) -> BoundReport:
-    """Tight expected-range bound for any spec, dispatching on structure.
-
-    n = 2 uses the closed form (the general solver's uniqueness assumptions
-    fail there).  Equal means run the solver and are cross-checked against
-    the closed form, which then supplies the reported value.
+    """Tight expected-range bound for any spec: :func:`rho2_closed` for
+    n = 2, where the general solver's uniqueness assumptions fail, and
+    :func:`minimize_phi` otherwise, whose rho is phi at its reported point.
     """
     if spec.n == 2:
         return rho2_closed(spec)
-    if _means_equal(spec):
-        closed = equal_means_bound(spec)
-        solved = minimize_phi(spec, tol)
-        if abs(solved.rho - closed) > 1e-8 * closed:
-            raise ConvergenceError(
-                f"solver value {solved.rho!r} disagrees with the equal-means "
-                f"closed form {closed!r}",
-                best=solved,
-            )
-        method = solved.method.replace("general-solver", "equal-means-closed-form")
-        return replace(solved, rho=closed, method=method)
     return minimize_phi(spec, tol)

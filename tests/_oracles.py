@@ -2,12 +2,14 @@
 
 The linear program, the finite differences, and the derivative-free
 minimizer only see public evaluation functions, so agreement is evidence
-rather than tautology; the nested roots share only the solver's inner
-root and unit frame, and replace its search in c by plain bisection.  The
-attaining law's plain forms live here too: the law as explicit n-tuples,
-the moment check and expected range as loops over them, its exact moments
-in rational arithmetic, and the ``extremal``/``verify`` output as
-``json.dumps`` of the full payload.  So do the earlier forms of two hot
+rather than tautology; the equal-means supremum is the closed form in
+50-digit arithmetic, from the float sigmas as given; the nested roots
+share only the solver's inner root and unit frame, and replace its search
+in c by plain bisection.  The attaining law's plain forms live here too:
+the law as explicit n-tuples, the moment check and expected range as
+loops over them, its exact moments in rational arithmetic, and the
+``extremal``/``verify`` output as ``json.dumps`` of the full payload.
+So do the earlier forms of two hot
 paths, kept for bit-for-bit comparison: the mass-table kernel that
 selected its branches with ``np.choose`` and formed every column at once,
 with its region masks as tests on the signed margins, and the closed-form
@@ -21,6 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 from scipy.optimize import linprog, minimize
 
@@ -111,6 +114,24 @@ def phi_by_nelder_mead(spec: MomentSpec) -> tuple[float, float, float]:
         options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 6000, "maxfev": 6000},
     )
     return float(result.fun), float(result.x[0]), math.exp(float(result.x[1]))
+
+
+def equal_means_rho_by_mpmath(spec: MomentSpec) -> mpmath.mpf:
+    """The exact rho of an equal-means spec, to 50 digits: sqrt(2 S) when
+    2 max sigma_i**2 <= S = sum sigma_i**2, else max sigma_i + sqrt(S - max
+    sigma_i**2), with every sigma_i taken exactly as its float."""
+    with mpmath.workdps(50):
+        squares = sorted(mpmath.mpf(s) ** 2 for s in spec.sigma)
+        total, top = mpmath.fsum(squares), squares[-1]
+        if 2 * top <= total:
+            return +mpmath.sqrt(2 * total)
+        return mpmath.sqrt(top) + mpmath.sqrt(total - top)
+
+
+def ulps_from(value: float, exact: mpmath.mpf) -> float:
+    """|value - exact| in units of the last place of ``value``."""
+    with mpmath.workdps(50):
+        return float(abs(mpmath.mpf(value) - exact)) / math.ulp(value)
 
 
 def rho_by_nested_roots(spec: MomentSpec) -> float:

@@ -123,7 +123,7 @@ def test_equal_means_closed_form_agrees_with_general_solver_on_both_branches():
             dominant += 1
         closed = equal_means_bound(spec)
         solved = minimize_phi(spec)
-        assert abs(solved.rho - closed) <= 1e-8 * closed
+        assert abs(solved.rho - closed) <= 2.0 * math.ulp(closed)
     assert balanced >= 50 and dominant >= 50
     assert equal_means_bound(
         MomentSpec(mu=(0.0,) * 3, sigma=(1.0,) * 3)

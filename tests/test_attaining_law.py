@@ -81,6 +81,16 @@ class TestAttainingJoint:
         with pytest.raises(ValidationError, match="duplicate"):
             AttainingJoint(x_plus=[0.0, 0.0, 1.0], coupling=coupling, **points)
 
+    def test_rejects_a_coupling_with_a_diagonal_cell(self):
+        """A diagonal cell would put a coordinate at x_plus and x_minus at
+        once: read as atoms, this law has range 1 where it claims 2, and
+        means -1/2 where it claims 0."""
+        coupling = ProbabilityMatrix(q=[[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValidationError, match="zero diagonal"):
+            AttainingJoint(
+                x_zero=[0.0, 0.0], x_plus=[1.0, 1.0], x_minus=[-1.0, -1.0], coupling=coupling
+            )
+
     def test_rejects_points_of_the_wrong_length(self):
         coupling = zero_trace_coupling([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValidationError, match="2 values"):

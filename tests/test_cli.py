@@ -338,6 +338,16 @@ class TestErrorHandling:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("command", ["bound", "compare", "extremal", "verify"])
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"mu":[-1e308,0,1e308],"sigma":[1,1,1]}', '{"mu":[-1e308,1e308],"sigma":[1,1]}'],
+        ids=["triple", "pair"],
+    )
+    def test_bound_beyond_the_float_range_exits_one(self, capsys, command, spec):
+        code, out, err = run_cli(capsys, command, "--input", spec)
+        assert (code, out, err) == (1, "", "error: the bound exceeds the float range\n")
+
     def test_non_finite_embedded_joint_exits_one(self, capsys):
         """json reads the NaN literal, so the embedded law is checked as
         outside input: an error, not a report that it failed."""

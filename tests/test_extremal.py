@@ -51,6 +51,8 @@ from rangebounds.objective import mass_table
         ),
         (lambda: ProbabilityMatrix(q=[[0.0, 1.0], [math.nan, 0.0]]), "finite"),
         (lambda: ProbabilityMatrix(q=[[0.0, math.inf], [0.0, 0.0]]), "finite"),
+        (lambda: ProbabilityMatrix.from_json_dict({"q": [[0.0, 1.0], [0.0]]}), "square matrix"),
+        (lambda: ProbabilityMatrix.from_json_dict({"q": [[0.0, "a"], [0.0, 0.0]]}), "numbers"),
     ],
     ids=[
         "1x1-matrix",
@@ -63,6 +65,8 @@ from rangebounds.objective import mass_table
         "infinite-mass",
         "nan-cell",
         "infinite-cell",
+        "ragged-matrix-json",
+        "non-numeric-matrix-json",
     ],
 )
 def test_rejects_invalid_input(call, message):

@@ -6,6 +6,8 @@ bit-identical keeps every one of them passing.  To rewrite them after a
 deliberate change of output, run::
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which names every case whose stdout or exit code it changed.
 """
 
 from __future__ import annotations
@@ -70,11 +72,19 @@ def test_every_golden_file_has_a_case():
 
 
 def _write() -> None:
+    """Rewrite every golden, and print each case whose stdout bytes or exit
+    code changed, so that a deliberate change can name exactly what moved."""
     DIR.mkdir(exist_ok=True)
+    old = json.loads(CODES.read_text()) if CODES.exists() else {}
     codes = {}
     for case, argv in sorted(CASES.items()):
         codes[case], out = _run(argv)
-        (DIR / f"{case}.out").write_text(out)
+        path = DIR / f"{case}.out"
+        if not path.exists() or path.read_text() != out:
+            print(f"{case}: stdout changed")
+        if old.get(case) != codes[case]:
+            print(f"{case}: exit code {old.get(case)} -> {codes[case]}")
+        path.write_text(out)
     CODES.write_text(json.dumps(codes, indent=2) + "\n")
 
 

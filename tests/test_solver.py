@@ -9,10 +9,12 @@ from _oracles import (
     ag_bound_by_loop,
     ag_general_bound_by_loop,
     ag_tightness_by_loop,
+    equal_means_rho_by_mpmath,
     phi_by_nelder_mead,
     random_spec,
     rho_by_nested_roots,
     star_spec,
+    ulps_from,
 )
 from rangebounds import (
     ConvergenceError,
@@ -25,6 +27,7 @@ from rangebounds import (
     bnt_max_bound,
     bnt_range,
     equal_means_bound,
+    extremal_pair_given_correlation,
     gamma2_bound,
     minimize_phi,
     pair_cov_bounds,
@@ -78,6 +81,12 @@ class TestAgBound:
         spec = MomentSpec(mu=(0.0, 1.0), sigma=(1.0, 1.0))
         with pytest.raises(ValidationError):
             ag_general_bound(spec, (1.0, 0.0, -1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_general_coefficients_must_be_finite(self, bad):
+        spec = MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            ag_general_bound(spec, (-1.0, bad, 1.0))
 
 
 class TestPlackettBound:
@@ -301,6 +310,24 @@ class TestPairClosedForm:
         assert report.regions == unit.regions
 
 
+def _dominated_equal_means_specs() -> list[MomentSpec]:
+    """Equal means with one sigma dominant: four fixed specs, and 40 seeded
+    ones whose other variances sum to 1e-16 to 1e-12 of the largest, at
+    scales 10**-250 to 10**250."""
+    fixed = [(1.0, 3e-9, 4e-9, 1e-9), (1.0, 1e-9, 1e-9), (1.0, 1e-6, 1e-6), (1.0, 1e-8, 1e-8)]
+    specs = [MomentSpec(mu=(0.0,) * len(sigma), sigma=sigma) for sigma in fixed]
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        n = int(rng.integers(3, 13))
+        others = rng.uniform(0.2, 1.0, n - 1)
+        others *= math.sqrt(float(rng.uniform(1e-16, 1e-12)) / float(np.sum(others**2)))
+        sigma = np.insert(others, int(rng.integers(0, n)), 1.0)
+        a = 10.0 ** float(rng.uniform(-250.0, 250.0))
+        level = a * float(rng.uniform(-2.0, 2.0))
+        specs.append(MomentSpec(mu=(level,) * n, sigma=tuple((a * sigma).tolist())))
+    return specs
+
+
 class TestEqualMeansBound:
     def test_balanced_branch(self):
         assert equal_means_bound(MomentSpec(mu=(0.0,) * 3, sigma=(1.0,) * 3)) == (
@@ -319,7 +346,13 @@ class TestEqualMeansBound:
             spec = MomentSpec(mu=(0.7,) * n, sigma=sigma)
             closed = equal_means_bound(spec)
             solved = minimize_phi(spec)
-            assert solved.rho == pytest.approx(closed, rel=1e-8)
+            assert abs(solved.rho - closed) <= 2.0 * math.ulp(closed)
+
+    def test_one_dominant_sigma_does_not_cancel(self):
+        """With one sigma dominant, max sigma + sqrt(S - max sigma**2) must
+        not form S first: the small squares would round into it."""
+        for spec in _dominated_equal_means_specs():
+            assert ulps_from(equal_means_bound(spec), equal_means_rho_by_mpmath(spec)) <= 2.0
 
 
 class TestMinimizePhi:
@@ -378,15 +411,26 @@ class TestRhoBound:
         assert report.method.startswith("equal-means-closed-form")
         assert report.rho == pytest.approx(3.0 + math.sqrt(2.0), abs=1e-12)
 
-    def test_a_solve_off_the_equal_means_closed_form_raises(self, monkeypatch):
-        """The solver cross-checks the closed form: a disagreement beyond
-        1e-8 of it raises, carrying the solver's report."""
-        spec = MomentSpec(mu=(2.0, 2.0, 2.0), sigma=(1.0, 1.0, 3.0))
-        closed = equal_means_bound(spec)
-        monkeypatch.setattr(solver, "equal_means_bound", lambda spec: 1.01 * closed)
-        with pytest.raises(ConvergenceError, match="disagrees with the equal-means") as excinfo:
-            rho_bound(spec)
-        assert excinfo.value.best.rho == pytest.approx(closed, rel=1e-10)
+    def test_rho_is_phi_at_the_reported_point(self):
+        """Every n >= 3 report is the solver's phi at its own point: on
+        general specs and on equal-means ones, at scales 10**-250 to
+        10**250."""
+        rng = np.random.default_rng(25)
+        for k in range(200):
+            unit = random_spec(rng)
+            mu = unit.mu if k % 2 else (unit.mu[0],) * unit.n
+            a = 10.0 ** float(rng.uniform(-250.0, 250.0))
+            spec = MomentSpec(mu=tuple(a * m for m in mu), sigma=tuple(a * s for s in unit.sigma))
+            report = rho_bound(spec)
+            assert report.rho == report.table.phi()
+
+    def test_equal_means_rho_is_the_supremum_to_float_resolution(self):
+        """Where one sigma dominates, rho is the supremum to float
+        resolution, checked against 50-digit arithmetic."""
+        for spec in _dominated_equal_means_specs():
+            report = rho_bound(spec)
+            assert report.method.startswith("equal-means-closed-form")
+            assert ulps_from(report.rho, equal_means_rho_by_mpmath(spec)) <= 2.0
 
     def test_sits_between_mean_spread_and_dispersion_bound(self):
         rng = np.random.default_rng(22)
@@ -416,6 +460,46 @@ class TestRhoBound:
             "residual",
             "iterations",
         ]
+
+
+#: Specs whose bound lies beyond the float range, and what computes it.
+BEYOND_FLOAT_RANGE = {
+    "spread-triple": (MomentSpec(mu=(-1e308, 0.0, 1e308), sigma=(1.0, 1.0, 1.0)), rho_bound),
+    "spread-pair": (MomentSpec(mu=(-1e308, 1e308), sigma=(1.0, 1.0)), rho_bound),
+    "equal-means": (MomentSpec(mu=(0.0,) * 3, sigma=(1.7e308, 1e308, 1e308)), rho_bound),
+    # rho is 1.6e308, but the report's ag = sqrt(2 S) is 6.6e308.
+    "ag-beyond-rho": (
+        MomentSpec(
+            mu=tuple(np.outer(np.linspace(1e306, 8e307, 50), (-1.0, 1.0)).ravel().tolist()),
+            sigma=(1.0,) * 100,
+        ),
+        rho_bound,
+    ),
+    "bnt-range": (MomentSpec(mu=(-1e308, 0.0, 1e308), sigma=(1.0, 1.0, 1.0)), bnt_range),
+    "ag-general": (
+        MomentSpec(mu=(-1e308, 0.0, 1e308), sigma=(1.0, 1.0, 1.0)),
+        lambda spec: ag_general_bound(spec, (-1.0, 0.0, 1.0)),
+    ),
+    "gamma2": (
+        MomentSpec(mu=(-1e308, 1e308), sigma=(1.0, 1.0)),
+        lambda spec: gamma2_bound(*spec.mu, *spec.sigma, 0.0),
+    ),
+    "pair-sampler": (
+        MomentSpec(mu=(-1e308, 1e308), sigma=(1.0, 1.0)),
+        lambda spec: extremal_pair_given_correlation(*spec.mu, *spec.sigma, 0.0),
+    ),
+    "pair-cov": (
+        MomentSpec(mu=(0.0, 0.0), sigma=(1e155, 1e155)),
+        lambda spec: pair_cov_bounds(*spec.mu, *spec.sigma, 0.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOAT_RANGE))
+def test_a_bound_beyond_the_float_range_is_an_input_error(name):
+    spec, bound = BEYOND_FLOAT_RANGE[name]
+    with pytest.raises(ValidationError, match="exceeds the float range"):
+        bound(spec)
 
 
 class TestScale:
