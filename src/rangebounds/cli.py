@@ -25,7 +25,6 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .extremal import AttainingJoint, JointDiscreteDistribution, extremal_components
 from .objective import MomentSpec
-from .solver import DEFAULT_TOL, bnt_range, plackett_iid_bound, rho_bound
+from .solver import bnt_range, plackett_iid_bound, rho_bound
 from .verify import MomentCheckReport, check_moments, mc_expected_range
 
 __all__ = ["main"]
@@ -96,7 +95,7 @@ def _emit(payload: dict, fmt: str) -> None:
 
 def _run_bound(args: argparse.Namespace) -> int:
     spec = MomentSpec.from_json_dict(_read_input(args.input))
-    report = rho_bound(spec, tol=args.tol)
+    report = rho_bound(spec)
     _emit(report.to_json_dict(), args.format)
     return 0
 
@@ -171,7 +170,7 @@ def _extremal_json(head: dict, joint: AttainingJoint) -> str:
 
 def _run_extremal(args: argparse.Namespace) -> int:
     spec = MomentSpec.from_json_dict(_read_input(args.input))
-    parts = extremal_components(spec, tol=args.tol)
+    parts = extremal_components(spec)
     head = {
         "mu": list(spec.mu),
         "sigma": list(spec.sigma),
@@ -191,10 +190,10 @@ _ATTAIN_ULPS = 8
 
 
 def _joint_agrees(
-    joint: JointDiscreteDistribution | AttainingJoint, spec: MomentSpec, rho: float, tol: float
+    joint: JointDiscreteDistribution | AttainingJoint, spec: MomentSpec, rho: float
 ) -> tuple[MomentCheckReport, bool]:
     """The moment check of ``joint`` and whether it passes and attains rho."""
-    check = check_moments(joint, spec, tol=tol)
+    check = check_moments(joint, spec)
     gap = abs(check.expected_range - rho)
     slack = 1e-9 * rho + _ATTAIN_ULPS * math.ulp(max(map(abs, spec.mu)))
     return check, check.passed and gap <= slack
@@ -206,10 +205,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     embedded = None
     if "joint" in data:
         embedded = JointDiscreteDistribution.from_json_dict(data["joint"])
-    moment_tol = max(args.tol, 1e-10)
-    parts = extremal_components(spec, tol=args.tol)
+    parts = extremal_components(spec)
     rho = parts.report.rho
-    check, rebuilt_ok = _joint_agrees(parts.joint, spec, rho, moment_tol)
+    check, rebuilt_ok = _joint_agrees(parts.joint, spec, rho)
     exact = check.expected_range
     estimate, std_error = mc_expected_range(parts.joint, args.samples, seed=args.seed)
     # The floor covers the rounding of the estimate's own mean when every
@@ -217,7 +215,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12 * exact
     embedded_ok: bool | None = None
     if embedded is not None:
-        _, embedded_ok = _joint_agrees(embedded, spec, rho, moment_tol)
+        _, embedded_ok = _joint_agrees(embedded, spec, rho)
     passed = rebuilt_ok and mc_ok and embedded_ok is not False
     payload = {
         "rho": rho,
@@ -238,7 +236,7 @@ def _homogeneous(spec: MomentSpec) -> bool:
 
 def _run_compare(args: argparse.Namespace) -> int:
     spec = MomentSpec.from_json_dict(_read_input(args.input))
-    report = rho_bound(spec, tol=args.tol)
+    report = rho_bound(spec)
     plackett = (
         plackett_iid_bound(spec.n, spec.sigma[0]) if _homogeneous(spec) else None
     )
@@ -392,19 +390,16 @@ def _run_paper_examples(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
-def _positive(kind: type) -> Callable[[str], float]:
-    """An argparse ``type``: the text as ``kind``, refused unless it is
-    positive (for an int, at least 1)."""
+def _count(text: str) -> int:
+    """An argparse ``type``: the text as an int, refused unless at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
-    def parse(text: str) -> float:
-        value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-        return value
 
-    # argparse names the type in "invalid float value: ...".
-    parse.__name__ = kind.__name__
-    return parse
+# argparse names the type in "invalid int value: ...".
+_count.__name__ = "int"
 
 
 #: Every flag, in the order of ``--help``: its argparse keywords.
@@ -412,22 +407,21 @@ _FLAGS = {
     "input": dict(
         required=True, help="spec as a file path, '-' for stdin, or an inline JSON object"
     ),
-    "tol": dict(type=_positive(float), default=DEFAULT_TOL, help="solver tolerance"),
     "seed": dict(type=int, default=0, help="Monte Carlo seed"),
-    "samples": dict(type=_positive(int), default=1_000_000, help="Monte Carlo sample count"),
+    "samples": dict(type=_count, default=1_000_000, help="Monte Carlo sample count"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
 }
 
 #: Every command, in the order of ``--help``: its runner, the flags it reads
 #: and its help line.
 _COMMANDS = {
-    "bound": (_run_bound, ("input", "tol", "format"),
+    "bound": (_run_bound, ("input", "format"),
               "compute the tight expected-range bound for a moment spec"),
-    "extremal": (_run_extremal, ("input", "tol"),
+    "extremal": (_run_extremal, ("input",),
                  "construct the attaining joint distribution"),
-    "verify": (_run_verify, ("input", "tol", "seed", "samples", "format"),
+    "verify": (_run_verify, ("input", "seed", "samples", "format"),
                "rebuild and numerically check the attaining joint"),
-    "compare": (_run_compare, ("input", "tol", "format"),
+    "compare": (_run_compare, ("input", "format"),
                 "tabulate the tight bound against comparison bounds"),
     "paper-examples": (_run_paper_examples, ("format",),
                        "rerun the built-in worked examples against targets"),

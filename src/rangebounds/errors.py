@@ -29,7 +29,8 @@ class InfeasibleCouplingError(ValidationError):
 
 
 class ConvergenceError(RangeBoundsError, RuntimeError):
-    """An iterative routine exhausted its budget without meeting tolerance.
+    """An iterative routine ended at a point that fails its fixed test:
+    a gradient norm above 1e-10, or tail masses that admit no coupling.
 
     Carries the best iterate found so the caller can inspect how close the
     run got.

@@ -36,10 +36,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleCouplingError, ValidationError
+from .errors import ConvergenceError, InfeasibleCouplingError, ValidationError
 from .objective import DualPoint, MassTable, MomentSpec, mass_table
 from .solver import (
-    DEFAULT_TOL,
     BoundReport,
     _ag_bound,
     _bnt_max,
@@ -636,26 +635,35 @@ class AttainingJoint:
         return {"support": self.arrays()[0].tolist(), "prob": list(self.prob)}
 
 
-def extremal_components(spec: MomentSpec, tol: float = DEFAULT_TOL) -> ExtremalComponents:
+def extremal_components(spec: MomentSpec) -> ExtremalComponents:
     """Bound, marginals, coupling, and joint for ``spec`` in one pass.
 
     The marginals are the report's mass table, whose tail rows go to
-    :func:`zero_trace_coupling` as they are; its check that each sums to 1
-    rejects a table formed away from the optimum.  Works for n = 2 as
-    well: there the same table yields two two-point laws and the coupling
-    is the unique anti-diagonal matrix.
+    :func:`zero_trace_coupling` as they are.  Tails that miss its contract
+    (each summing to 1 within 1e-12, max_i (p_i^+ + p_i^-) <= 1) were
+    formed away from the optimum, and raise :class:`ConvergenceError`
+    carrying the report.  Works for n = 2 as well: there the same table
+    yields two two-point laws and the coupling is the unique anti-diagonal
+    matrix.
     """
-    report = rho_bound(spec, tol)
+    report = rho_bound(spec)
     table = report.table
-    coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
+    try:
+        coupling = zero_trace_coupling(table.p[2].tolist(), table.p[0].tolist())
+    except ValidationError as exc:
+        raise ConvergenceError(
+            f"the tails at c={report.optimum.c!r}, lambda={report.optimum.lam!r} "
+            f"admit no coupling: {exc}",
+            best=report,
+        ) from exc
     x_minus, x_zero, x_plus = table.points()
     joint = AttainingJoint(x_zero=x_zero, x_plus=x_plus, x_minus=x_minus, coupling=coupling)
     return ExtremalComponents(report, table, coupling, joint)
 
 
-def build_extremal_joint(spec: MomentSpec, tol: float = DEFAULT_TOL) -> AttainingJoint:
+def build_extremal_joint(spec: MomentSpec) -> AttainingJoint:
     """A joint law with the prescribed moments whose expected range is rho_n."""
-    return extremal_components(spec, tol).joint
+    return extremal_components(spec).joint
 
 
 def ag_tightness(

@@ -112,8 +112,14 @@ class MomentSpec:
 
     @property
     def mu_bar(self) -> float:
-        """Mean of the means."""
-        return math.fsum(self.mu) / self.n
+        """Mean of the means, ``math.fsum(mu) / n``.  Where the sum leaves
+        the float range it is summed over mu_i / 2**k, 2**k >= n, which
+        stays inside it, and scaled back."""
+        try:
+            return math.fsum(self.mu) / self.n
+        except OverflowError:
+            k = (self.n - 1).bit_length()
+            return math.ldexp(math.fsum(math.ldexp(m, -k) for m in self.mu) / self.n, k)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The (mu, sigma) pair as read-only float arrays, for vectorized

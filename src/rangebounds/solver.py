@@ -79,8 +79,8 @@ __all__ = [
     "pair_cov_bounds",
 ]
 
-#: Default gradient-norm tolerance at the reported optimum.
-DEFAULT_TOL = 1e-10
+#: Gradient norm at the reported optimum above which a solve raises.
+_TOL = 1e-10
 
 #: Relative float resolution at which the scalar roots stop.
 _EPS = 2.0**-52
@@ -248,20 +248,25 @@ def _newton_bisect(
     last, and the bracket's midpoint otherwise (rtsafe, Press et al.,
     Numerical Recipes).  The search starts at ``x0`` when it lies inside
     the bracket.  It stops once a step, Newton or bisection, is below
-    relative float resolution or 2**-60 of the initial width (for a root
-    at 0), or no longer moves the point, or once a Newton step leaves f
-    unchanged: f is then at the rounding level of its own evaluation, and
-    further Newton steps of that size fail the halving test and fall back
-    to bisecting the whole bracket.  Returns the last evaluated point, so
-    that a caller's record of its final evaluation belongs to the root,
-    and the number of evaluations.
+    relative float resolution, or below 2**-60 of the initial width when
+    that holds 0 (for a root at 0), or no longer moves the point, or once
+    a Newton step leaves f unchanged: f is then at the rounding level of
+    its own evaluation, and further Newton steps of that size fail the
+    halving test and fall back to bisecting the whole bracket.  The
+    midpoint is formed as 0.5 lo + 0.5 hi, which stays finite at every
+    finite bracket.  Returns the last evaluated point, so that a caller's
+    record of its final evaluation belongs to the root, and the number of
+    evaluations.
     """
-    floor = (hi - lo) * 2.0**-60
+    # A floor in the width where the bracket lies away from 0 would stop a
+    # root far below the width, such as an inner root in [t_(2), sum t_i],
+    # short of its own resolution.
+    floor = (hi - lo) * 2.0**-60 if lo <= 0.0 <= hi else 0.0
 
     def resolution(x: float) -> float:
         return max(_EPS * abs(x), floor)
 
-    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * lo + 0.5 * hi
     step = before = hi - lo
     newton, last = False, None
     evaluations = 0
@@ -395,9 +400,10 @@ def pair_cov_bounds(
     """
     g2 = gamma2_bound(mu1, mu2, sigma1, sigma2, rho)
     _, s1, s2, delta, e = _pair(mu1, mu2, sigma1, sigma2, -rho)
+    mean = MomentSpec(mu=(mu1, mu2), sigma=(sigma1, sigma2)).mu_bar
     return (
         max(mu1, mu2),
-        0.5 * (mu1 + mu2) + 0.5 * g2,
+        _representable(mean + 0.5 * g2),
         _representable(rho * s1 * s2, 2 * e),
         _representable(0.25 * delta, 2 * e),
     )
@@ -595,13 +601,8 @@ def _joint_newton(
         restored, since_valley = True, 0
 
 
-def minimize_phi(
-    spec: MomentSpec,
-    tol: float = DEFAULT_TOL,
-    *,
-    c_start: float | None = None,
-) -> BoundReport:
-    """Unique minimizer of phi_n for n >= 3, with gradient norm <= tol.
+def minimize_phi(spec: MomentSpec, *, c_start: float | None = None) -> BoundReport:
+    """Unique minimizer of phi_n for n >= 3, with gradient norm <= 1e-10.
 
     The search runs in the spec's unit frame (:func:`scaled_deviations`),
     where c is resolved to the spread of the means rather than to their
@@ -617,11 +618,9 @@ def minimize_phi(
     ``equal-means-closed-form`` and 0 iterations.  ``iterations`` counts
     the tables whose gradient and Hessian were read: the last table of each
     inner root and one per joint step.  rho is phi at the reported point on
-    either path.  A reported gradient norm above ``tol`` raises
+    either path.  A reported gradient norm above 1e-10 raises
     :class:`ConvergenceError` carrying the report.
     """
-    if float(tol) <= 0.0:
-        raise ValidationError("tol must be positive")
     if spec.n == 2:
         raise ValidationError(
             "n = 2 has a segment of minimizers; use rho2_closed instead"
@@ -642,20 +641,20 @@ def minimize_phi(
     if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"
     report = _report(spec, frame, table, _representable(table.phi(), e), method, iterations)
-    if report.residual <= tol:
+    if report.residual <= _TOL:
         return report
     raise ConvergenceError(
-        f"gradient norm {report.residual:.3e} above tolerance {tol:.3e} "
+        f"gradient norm {report.residual:.3e} above tolerance {_TOL:.3e} "
         f"at c={report.optimum.c!r}, lambda={report.optimum.lam!r}",
         best=report,
     )
 
 
-def rho_bound(spec: MomentSpec, tol: float = DEFAULT_TOL) -> BoundReport:
+def rho_bound(spec: MomentSpec) -> BoundReport:
     """Tight expected-range bound for any spec: :func:`rho2_closed` for
     n = 2, where the general solver's uniqueness assumptions fail, and
     :func:`minimize_phi` otherwise, whose rho is phi at its reported point.
     """
     if spec.n == 2:
         return rho2_closed(spec)
-    return minimize_phi(spec, tol)
+    return minimize_phi(spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -17,9 +18,11 @@ from rangebounds import (
     JointDiscreteDistribution,
     MomentSpec,
     expected_range,
+    rho_bound,
 )
 from rangebounds import cli
 from rangebounds.cli import main
+from rangebounds.objective import mass_table
 from rangebounds.verify import _probe_joints
 
 TRIPLE = '{"mu":[-1,0,1],"sigma":[1,1.7320508,1.4142136]}'
@@ -38,10 +41,10 @@ def run_cli(capsys, *argv):
 
 #: The flags each command reads; any other is a usage error.
 READS = {
-    "bound": {"input", "tol", "format"},
-    "extremal": {"input", "tol"},
-    "verify": {"input", "tol", "seed", "samples", "format"},
-    "compare": {"input", "tol", "format"},
+    "bound": {"input", "format"},
+    "extremal": {"input"},
+    "verify": {"input", "seed", "samples", "format"},
+    "compare": {"input", "format"},
     "paper-examples": {"format"},
 }
 #: A valid value of each flag.
@@ -63,13 +66,6 @@ class TestConfigValidation:
             code, out, err = run_cli(capsys, command, *needed, f"--{flag}", VALUES[flag])
             assert (code, out) == (1, "")
             assert f"error: unrecognized arguments: --{flag} {VALUES[flag]}\n" in err
-
-    def test_rejects_nonpositive_tolerance(self, capsys):
-        for tol in ("0", "-0.5", "nan"):
-            code, out, err = run_cli(capsys, "bound", "--input", TRIPLE, "--tol", tol)
-            assert (code, out) == (1, "")
-            assert err.startswith("usage: rangebounds bound")
-            assert f"argument --tol: must be positive, got {tol}" in err
 
     def test_rejects_unknown_command(self, capsys):
         code, out, err = run_cli(capsys, "solve")
@@ -201,20 +197,27 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--input", bare, "--samples", "2000")
         assert (code, json.loads(out)["moment_check"]["pass"]) == (1, True)
 
-    def test_moment_tolerance_is_tol_when_larger(self, capsys):
-        """Moments are checked at max(--tol, 1e-10) of each coordinate's
-        scale.  Shifting every atom by 1e-8 of the largest scale moves each
-        mean by 1e-8 to 1.4e-8 of its scale and leaves the expected range
-        as it is: the law fails by default and passes with --tol 1e-6."""
+    def test_moments_are_checked_at_1e_10_of_their_scale(self, capsys):
+        """Shifting every atom by 1e-8 of the largest scale moves each mean
+        by 1e-8 to 1.4e-8 of its scale and leaves the expected range as it
+        is: the law fails."""
         _, out, _ = run_cli(capsys, "extremal", "--input", TRIPLE)
         document = json.loads(out)
         shift = 1e-8 * max(abs(m) + s for m, s in zip(document["mu"], document["sigma"]))
         joint = document["joint"]
         joint["support"] = [[x + shift for x in atom] for atom in joint["support"]]
         text = json.dumps(document)
-        for flags, passed in (([], False), (["--tol", "1e-6"], True)):
-            code, out, _ = run_cli(capsys, "verify", "--input", text, "--samples", "2000", *flags)
-            assert (code, json.loads(out)["embedded_joint_pass"]) == (int(not passed), passed)
+        code, out, _ = run_cli(capsys, "verify", "--input", text, "--samples", "2000")
+        assert (code, json.loads(out)["embedded_joint_pass"]) == (1, False)
+
+    def test_one_dominant_sigma_builds_and_passes(self, capsys):
+        """The inner root ends at its own resolution, inside the coupling's
+        1e-12 contract, so the law builds and its document verifies."""
+        spec = '{"mu":[0,0,0,0],"sigma":[1,3e-9,4e-9,1e-9]}'
+        code, document, _ = run_cli(capsys, "extremal", "--input", spec)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", "--input", document, "--samples", "20000")
+        assert (code, json.loads(out)["pass"]) == (0, True)
 
     def test_rebuilt_law_passes_at_a_large_offset(self, capsys):
         spec = _general(7, 1.0, 1e8)
@@ -427,8 +430,33 @@ class TestErrorHandling:
             main(["frobnicate"])
         assert excinfo.value.code == 1
 
+    def test_means_summing_beyond_the_float_range(self, capsys):
+        """Bounds print; the law's points round onto each other, which is
+        an input error with its message, not a traceback."""
+        spec = '{"mu":[1e308,1e308,1e308],"sigma":[1,1,1]}'
+        for command in ("bound", "compare"):
+            code, out, err = run_cli(capsys, command, "--input", spec)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["rho"] == pytest.approx(math.sqrt(6.0), rel=1e-12)
+        for command in ("extremal", "verify"):
+            code, out, err = run_cli(capsys, command, "--input", spec)
+            assert (code, out, err) == (1, "", "error: duplicate support vectors\n")
+
+    def test_tails_that_admit_no_coupling_exit_two(self, capsys, monkeypatch):
+        spec = MomentSpec(mu=(-2.0, 0.0, 2.0), sigma=(1.0, 3.0, 1.0))
+        far = mass_table(*spec.arrays(), 50.0, 0.01)
+
+        def report_with_far_table(spec):
+            return dataclasses.replace(rho_bound(spec), table=far)
+
+        monkeypatch.setattr("rangebounds.extremal.rho_bound", report_with_far_table)
+        for command in ("extremal", "verify"):
+            code, out, err = run_cli(capsys, command, "--input", json.dumps(spec.to_json_dict()))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: failed to converge: the tails at c=")
+
     def test_nonconvergence_exits_two(self, capsys, monkeypatch):
-        def explode(spec, tol=1e-10):
+        def explode(spec):
             raise ConvergenceError("stalled", best=None)
 
         monkeypatch.setattr("rangebounds.cli.rho_bound", explode)

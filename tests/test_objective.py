@@ -1,4 +1,5 @@
 import dataclasses
+import fractions
 import math
 import warnings
 
@@ -74,6 +75,14 @@ class TestMomentSpec:
         moved = dataclasses.replace(spec, mu=(0.0, 1.0, 4.0))
         assert moved.arrays()[0].tolist() == [0.0, 1.0, 4.0]
         assert spec.arrays()[0].tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "mu", [(1e308,) * 3, (1.7e308, 1.7e308, 0.0), (-1.7e308,) * 5 + (1.0,)]
+    )
+    def test_mean_of_means_whose_sum_leaves_the_float_range(self, mu):
+        spec = MomentSpec(mu=mu, sigma=(1.0,) * len(mu))
+        exact = float(sum(map(fractions.Fraction, mu)) / len(mu))
+        assert spec.mu_bar == pytest.approx(exact, rel=2**-52)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):

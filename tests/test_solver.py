@@ -366,18 +366,17 @@ class TestMinimizePhi:
         with pytest.raises(ValidationError):
             minimize_phi(MomentSpec(mu=(0.0, 1.0), sigma=(1.0, 1.0)))
 
-    def test_rejects_nonpositive_tolerance(self):
-        spec = MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 1.0, 1.0))
-        with pytest.raises(ValidationError):
-            minimize_phi(spec, tol=0.0)
-
     def test_unreachable_tolerance_raises_with_the_best_report(self):
-        spec = MomentSpec(mu=(0.0, 1.0, 3.0), sigma=(1.0, 1.0, 1.0))
-        with pytest.raises(ConvergenceError) as excinfo:
-            minimize_phi(spec, tol=1e-300)
+        """Started at c = 0.5 on these sigmas, whose p^0 sum jumps past
+        n - 2 between adjacent floats of lambda, the search ends with a
+        gradient norm far above 1e-10; the error carries the report it
+        ended at."""
+        spec = MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1e-10, 1e-20, 1e-40))
+        with pytest.raises(ConvergenceError, match="above tolerance 1.000e-10") as excinfo:
+            minimize_phi(spec, c_start=0.5)
         best = excinfo.value.best
-        assert best.residual > 1e-300
-        assert best.rho == minimize_phi(spec).rho
+        assert best.residual == pytest.approx(0.207, abs=1e-3)
+        assert best.rho == pytest.approx(2.0, rel=1e-9)
 
     def test_agrees_with_derivative_free_search(self):
         rng = np.random.default_rng(20)
@@ -431,6 +430,13 @@ class TestRhoBound:
             report = rho_bound(spec)
             assert report.method.startswith("equal-means-closed-form")
             assert ulps_from(report.rho, equal_means_rho_by_mpmath(spec)) <= 2.0
+
+    def test_equal_means_inner_root_ends_at_its_own_resolution(self):
+        """With one sigma dominant the inner root's bracket [t_(2), sum t_i]
+        is up to 1e9 times wider than the root; the root still ends with
+        d phi/d lambda at its rounding level."""
+        for spec in _dominated_equal_means_specs():
+            assert abs(rho_bound(spec).table.gradient()[1]) <= spec.n * 2.0**-52
 
     def test_sits_between_mean_spread_and_dispersion_bound(self):
         rng = np.random.default_rng(22)
@@ -493,6 +499,24 @@ BEYOND_FLOAT_RANGE = {
         lambda spec: pair_cov_bounds(*spec.mu, *spec.sigma, 0.5),
     ),
 }
+
+
+#: Bounds on a spec whose means sum beyond the float range, with their values.
+MEANS_SUM_BEYOND_FLOAT_RANGE = {
+    "rho": (lambda spec: rho_bound(spec).rho, math.sqrt(6.0)),
+    "bnt-max": (bnt_max_bound, (1e308, 1e308)),
+    "bnt-range": (bnt_range, math.sqrt(8.0)),
+    "pair-max": (
+        lambda spec: pair_cov_bounds(*spec.mu[:2], *spec.sigma[:2], 0.0)[:2], (1e308, 1e308)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEANS_SUM_BEYOND_FLOAT_RANGE))
+def test_means_whose_sum_leaves_the_float_range(name):
+    bound, expected = MEANS_SUM_BEYOND_FLOAT_RANGE[name]
+    spec = MomentSpec(mu=(1e308,) * 3, sigma=(1.0,) * 3)
+    assert bound(spec) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(BEYOND_FLOAT_RANGE))
