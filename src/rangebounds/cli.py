@@ -6,6 +6,10 @@ Subcommands:
 * ``extremal``: the attaining joint distribution and its coupling matrix.
 * ``verify``: rebuild the extremal joint and check moments, exact expected
   range, and a seeded Monte Carlo estimate; exit 0 only if all checks pass.
+  A ``"joint"`` in the input is checked too.  A document that is byte for
+  byte what ``extremal`` prints for its spec is checked without being
+  parsed, on the rebuilt law's atoms, which equal the embedded ones; every
+  other document is parsed in full, and the report is the same either way.
 * ``compare``: one line per bound (tight, sum-of-dispersions, max-based,
   homogeneous i.i.d., greatest lower bound).
 * ``paper-examples``: rerun the built-in worked examples against their
@@ -30,25 +34,35 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .extremal import AttainingJoint, JointDiscreteDistribution, extremal_components
+from .extremal import (
+    AttainingJoint,
+    ExtremalComponents,
+    JointDiscreteDistribution,
+    _probabilities,
+    extremal_components,
+)
 from .objective import MomentSpec
 from .solver import bnt_range, plackett_iid_bound, rho_bound
-from .verify import MomentCheckReport, check_moments, mc_expected_range
+from .verify import MomentCheckReport, _check_atom_sums, check_moments, mc_expected_range
 
 __all__ = ["main"]
 
 
-def _read_input(source: str) -> dict:
+def _read_text(source: str) -> tuple[str, str | None]:
+    """The input's text, and the error to report for it if it is not JSON:
+    None unless ``source`` names no file."""
     if source == "-":
-        text, missing = sys.stdin.read(), None
-    elif source.lstrip().startswith("{"):
-        text, missing = source, None
-    else:
-        try:
-            text, missing = Path(source).read_text(), None
-        except OSError:
-            # Inline JSON that is not an object, or the path of no file.
-            text, missing = source, f"input file not found: {source}"
+        return sys.stdin.read(), None
+    if source.lstrip().startswith("{"):
+        return source, None
+    try:
+        return Path(source).read_text(), None
+    except OSError:
+        # Inline JSON that is not an object, or the path of no file.
+        return source, f"input file not found: {source}"
+
+
+def _parse(text: str, missing: str | None) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -56,6 +70,10 @@ def _read_input(source: str) -> dict:
     if not isinstance(data, dict):
         raise ValidationError("input JSON must be an object")
     return data
+
+
+def _read_input(source: str) -> dict:
+    return _parse(*_read_text(source))
 
 
 def _scalar_rows(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -168,18 +186,45 @@ def _extremal_json(head: dict, joint: AttainingJoint) -> str:
     return "".join(pieces)
 
 
-def _run_extremal(args: argparse.Namespace) -> int:
-    spec = MomentSpec.from_json_dict(_read_input(args.input))
-    parts = extremal_components(spec)
-    head = {
+def _extremal_head(spec: MomentSpec, parts: ExtremalComponents) -> dict:
+    """The keys of ``extremal``'s document that come before the law."""
+    return {
         "mu": list(spec.mu),
         "sigma": list(spec.sigma),
         "rho": parts.report.rho,
         "c": parts.report.optimum.c,
         "lambda": parts.report.optimum.lam,
     }
-    sys.stdout.write(_extremal_json(head, parts.joint))
+
+
+def _run_extremal(args: argparse.Namespace) -> int:
+    spec = MomentSpec.from_json_dict(_read_input(args.input))
+    parts = extremal_components(spec)
+    sys.stdout.write(_extremal_json(_extremal_head(spec, parts), parts.joint))
     return 0
+
+
+#: Where ``extremal``'s document turns from its head to the law.
+_JOINT_KEY = ',\n  "joint": {'
+
+
+def _probe(text: str) -> tuple[MomentSpec, ExtremalComponents | Exception] | None:
+    """The spec in the head of ``text``, read as ``extremal``'s document,
+    with ``extremal_components`` of it or the error that raised; None where
+    the text has no such head.  Only the head is decoded."""
+    end = text.find(_JOINT_KEY)
+    if end < 0:
+        return None
+    try:
+        spec = MomentSpec.from_json_dict(json.loads(text[:end] + "\n}"))
+    except ValueError:
+        return None
+    try:
+        return spec, extremal_components(spec)
+    except Exception as exc:
+        # Deferred, not dropped: ``verify`` raises it where it would have
+        # solved, after any error of the document itself.
+        return spec, exc
 
 
 #: Ulps of the largest |mu_i| that a law's expected range may stray from rho
@@ -189,25 +234,47 @@ def _run_extremal(args: argparse.Namespace) -> int:
 _ATTAIN_ULPS = 8
 
 
-def _joint_agrees(
-    joint: JointDiscreteDistribution | AttainingJoint, spec: MomentSpec, rho: float
-) -> tuple[MomentCheckReport, bool]:
-    """The moment check of ``joint`` and whether it passes and attains rho."""
-    check = check_moments(joint, spec)
+def _attains(check: MomentCheckReport, spec: MomentSpec, rho: float) -> bool:
+    """Whether the law of ``check`` passes it and attains rho."""
     gap = abs(check.expected_range - rho)
     slack = 1e-9 * rho + _ATTAIN_ULPS * math.ulp(max(map(abs, spec.mu)))
-    return check, check.passed and gap <= slack
+    return check.passed and gap <= slack
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    data = _read_input(args.input)
-    spec = MomentSpec.from_json_dict(data)
-    embedded = None
-    if "joint" in data:
-        embedded = JointDiscreteDistribution.from_json_dict(data["joint"])
-    parts = extremal_components(spec)
+    text, missing = _read_text(args.input)
+    probe = _probe(text)
+    embedded: JointDiscreteDistribution | AttainingJoint | None
+    if (
+        probe is not None
+        and isinstance(probe[1], ExtremalComponents)
+        and _extremal_json(_extremal_head(*probe), probe[1].joint) == text
+    ):
+        # The text is byte for byte what ``extremal`` prints for its spec.
+        # Each float in it is a repr, which reads back exactly, so the
+        # embedded law is the rebuilt one: it is checked as its atoms,
+        # without parsing the document or forming its n-tuples, and its
+        # masses meet the contract that reading them back would check.
+        spec, parts = probe
+        embedded = parts.joint
+        _probabilities(embedded.prob, "prob")
+    else:
+        data = _parse(text, missing)
+        spec = MomentSpec.from_json_dict(data)
+        embedded = None
+        if "joint" in data:
+            embedded = JointDiscreteDistribution.from_json_dict(data["joint"])
+        # The probe's spec is reused only when it is this one bit for bit:
+        # floats have exact reprs, and -0.0 differs from 0.0 there.
+        if probe is not None and repr(probe[0]) == repr(spec):
+            parts = probe[1]
+            if isinstance(parts, Exception):
+                raise parts
+        else:
+            parts = extremal_components(spec)
     rho = parts.report.rho
-    check, rebuilt_ok = _joint_agrees(parts.joint, spec, rho)
+    check = check_moments(parts.joint, spec)
+    rebuilt_ok = _attains(check, spec, rho)
     exact = check.expected_range
     estimate, std_error = mc_expected_range(parts.joint, args.samples, seed=args.seed)
     # The floor covers the rounding of the estimate's own mean when every
@@ -215,7 +282,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12 * exact
     embedded_ok: bool | None = None
     if embedded is not None:
-        _, embedded_ok = _joint_agrees(embedded, spec, rho)
+        embedded_ok = _attains(_check_atom_sums(embedded, spec), spec, rho)
     passed = rebuilt_ok and mc_ok and embedded_ok is not False
     payload = {
         "rho": rho,

@@ -95,7 +95,14 @@ _MAX_JOINT_STEPS = 20
 
 #: Relative margin below which a coordinate at the optimum is considered to
 #: sit on a region boundary, degenerating the partition bookkeeping.
-BOUNDARY_FLAG_REL = 1e-9
+_BOUNDARY_FLAG_REL = 1e-9
+
+#: Most evaluations ``_newton_bisect`` makes.  Halving resolves any finite
+#: float bracket within 2,100 steps (from 2**1024 wide to 2**-1074), and a
+#: Newton step is at most half the step before last, so the searches here
+#: stop far below the cap.  It bounds a search whose f or f' is not finite,
+#: where the comparisons that stop it fail.
+_MAX_EVALUATIONS = 4_200
 
 #: The spec's unit frame, as :func:`scaled_deviations` returns it.
 _Frame = tuple[np.ndarray, np.ndarray, int]
@@ -256,8 +263,12 @@ def _newton_bisect(
     midpoint is formed as 0.5 lo + 0.5 hi, which stays finite at every
     finite bracket.  Returns the last evaluated point, so that a caller's
     record of its final evaluation belongs to the root, and the number of
-    evaluations.
+    evaluations.  A bracket that is not finite raises ``ValidationError``
+    before any evaluation, and a search that has not stopped after
+    ``_MAX_EVALUATIONS`` evaluations raises ``ConvergenceError``.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"the root's bracket [{lo!r}, {hi!r}] leaves the float range")
     # A floor in the width where the bracket lies away from 0 would stop a
     # root far below the width, such as an inner root in [t_(2), sum t_i],
     # short of its own resolution.
@@ -271,6 +282,11 @@ def _newton_bisect(
     newton, last = False, None
     evaluations = 0
     while True:
+        if evaluations == _MAX_EVALUATIONS:
+            raise ConvergenceError(
+                f"the root search in [{lo!r}, {hi!r}] did not stop "
+                f"within {_MAX_EVALUATIONS} evaluations"
+            )
         f, df = fdf(x)
         evaluations += 1
         if f == 0.0 or (newton and f == last):
@@ -451,6 +467,10 @@ def rho2_closed(spec: MomentSpec) -> BoundReport:
     rho = _representable(math.hypot(m1 - m2, s1 + s2))
     frame = dev, sig, e = scaled_deviations(spec)
     (u1, u2), (w1, w2) = dev.tolist(), sig.tolist()
+    # A sigma below about 2**-1075 of the frame's scale is 0 there, and
+    # lambda0 with it.
+    if min(w1, w2) == 0.0:
+        raise ValidationError("a sigma underflows to 0 against the spread of the means")
     c0 = (w1 * u2 + w2 * u1) / (w1 + w2)
     lam0 = math.ldexp(rho, -e) * min(w1, w2) / (2.0 * (w1 + w2))
     return _report(spec, frame, mass_table(dev, sig, c0, lam0), rho, "n2-closed-form", 0)
@@ -638,7 +658,7 @@ def minimize_phi(spec: MomentSpec, *, c_start: float | None = None) -> BoundRepo
         start = c_start if c_start is not None and lo < c_start < hi else 0.5 * (lo + hi)
         table, iterations = _joint_newton(mu, sigma, lo, hi, start)
         method = "general-solver"
-    if float(table.margin.min()) <= BOUNDARY_FLAG_REL:
+    if float(table.margin.min()) <= _BOUNDARY_FLAG_REL:
         method += "+boundary-degenerate"
     report = _report(spec, frame, table, _representable(table.phi(), e), method, iterations)
     if report.residual <= _TOL:

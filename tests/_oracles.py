@@ -18,6 +18,7 @@ bounds as scalar loops.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -337,13 +338,23 @@ def extremal_stdout(spec: MomentSpec) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+@functools.lru_cache(maxsize=2)
+def _rebuilt_by_tuples(
+    spec: MomentSpec,
+) -> tuple[ExtremalComponents, JointDiscreteDistribution, MomentCheckReport, float]:
+    """The rebuilt law as n-tuples, its check in rational arithmetic and its
+    expected range by the loop: the same for every document of one spec."""
+    parts, joint = extremal_tuples(spec)
+    return parts, joint, check_moments_by_fractions(joint, spec), expected_range_by_loop(joint)
+
+
 def verify_stdout(
     spec: MomentSpec, embedded: JointDiscreteDistribution | None, samples: int, seed: int = 0
 ) -> str:
     """What ``rangebounds verify`` prints, with every exact check done on
     the n-tuple law: the rebuilt law's moments in rational arithmetic, the
     embedded law's by the loop above."""
-    parts, joint = extremal_tuples(spec)
+    parts, joint, check, exact = _rebuilt_by_tuples(spec)
     rho = parts.report.rho
 
     slack = 1e-9 * rho + 8 * math.ulp(max(abs(m) for m in spec.mu))
@@ -351,8 +362,6 @@ def verify_stdout(
     def agrees(check: MomentCheckReport) -> bool:
         return check.passed and abs(check.expected_range - rho) <= slack
 
-    check = check_moments_by_fractions(joint, spec)
-    exact = expected_range_by_loop(joint)
     estimate, std_error = mc_expected_range(joint, samples, seed=seed)
     mc_ok = abs(estimate - exact) <= 4.0 * std_error + 1e-12 * exact
     embedded_ok = None if embedded is None else agrees(check_moments_by_loop(embedded, spec))

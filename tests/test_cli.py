@@ -391,6 +391,31 @@ class TestErrorHandling:
         assert done.returncode == 0, done.stderr
         assert run_cli(capsys, "bound", "--input", TRIPLE) == (0, done.stdout, "")
 
+    def test_sigmas_that_underflow_in_the_frame_exit_one(self):
+        """Both sigmas of this pair are 0 in its unit frame: a fresh process
+        exits 1 with the message, not with a traceback."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        spec = json.dumps(
+            {
+                "mu": [1.2757539691336203e97, 2.6226359191420717e95],
+                "sigma": [6.295838051275542e-243, 2.5362265571780634e-241],
+            }
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "rangebounds", "bound", "--input", spec],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: a sigma underflows to 0 against the spread of the means\n"
+
     def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
         """The parser is built once per process; calls after the first,
         help and usage errors included, must read as fresh processes do."""

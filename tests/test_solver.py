@@ -296,6 +296,20 @@ class TestPairClosedForm:
         with pytest.raises(ValidationError):
             rho2_closed(MomentSpec(mu=(0.0, 1.0, 2.0), sigma=(1.0, 1.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [(6.295838051275542e-243, 2.5362265571780634e-241), (6.295838051275542e-243, 1e-200)],
+        ids=["both", "one"],
+    )
+    def test_a_sigma_that_underflows_in_the_frame_is_refused(self, sigma):
+        """Below about 2**-1075 of the spread of the means a sigma is 0 in
+        the unit frame, and so is lambda0: a typed error, where the centre
+        divided by zero or the table was formed at lambda = 0."""
+        spec = MomentSpec(mu=(1.2757539691336203e97, 2.6226359191420717e95), sigma=sigma)
+        for solve in (rho2_closed, rho_bound):
+            with pytest.raises(ValidationError, match="underflows to 0"):
+                solve(spec)
+
     @pytest.mark.parametrize("a", [1e-300, 1e-180, 1e180, 1e300])
     def test_extreme_scales_scale_the_unit_report_exactly(self, a):
         """Products of means and sigmas leave the float range past about
@@ -617,6 +631,43 @@ class TestClosedFormsAgainstLoops:
 
 
 class TestNewtonBisect:
+    @pytest.mark.parametrize(
+        "lo, hi", [(-math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0)]
+    )
+    def test_refuses_a_bracket_that_is_not_finite(self, lo, hi):
+        evaluations = 0
+
+        def fdf(x):
+            nonlocal evaluations
+            evaluations += 1
+            return x, 1.0
+
+        with pytest.raises(ValidationError, match="leaves the float range"):
+            solver._newton_bisect(fdf, lo, hi)
+        assert evaluations == 0
+
+    def test_stops_at_the_evaluation_cap(self):
+        """An f that is infinite with an infinite slope sends the point to
+        NaN, where every comparison that stops the search fails: the cap
+        ends it, after exactly that many evaluations."""
+        evaluations = 0
+
+        def fdf(x):
+            nonlocal evaluations
+            evaluations += 1
+            return (math.inf, math.inf) if evaluations == 1 else (math.nan, math.nan)
+
+        with pytest.raises(ConvergenceError, match="did not stop"):
+            solver._newton_bisect(fdf, 0.0, 1.0)
+        assert evaluations == solver._MAX_EVALUATIONS
+
+    def test_bnt_max_bound_at_the_top_of_the_float_range(self):
+        """The bracket max mu + n max sigma overflows: a typed error, where
+        the search compared NaN without end."""
+        spec = MomentSpec(mu=(1e308,) * 3, sigma=(1e308,) * 3)
+        with pytest.raises(ValidationError, match="leaves the float range"):
+            bnt_max_bound(spec)
+
     def test_stops_when_a_newton_step_leaves_f_unchanged(self):
         # f sits on its rounding floor within 1e-13 of the root: a start
         # there must not bisect the whole bracket back down to the root.
